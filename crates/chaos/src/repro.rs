@@ -79,7 +79,6 @@ impl Repro {
             ),
             ("verify_fcs".into(), Json::Bool(self.spec.verify_fcs)),
             ("overload".into(), Json::Bool(self.spec.overload)),
-            ("workers".into(), Json::Num(self.spec.workers as u64)),
             ("membership".into(), Json::Bool(self.spec.membership)),
         ]);
         Json::Obj(vec![
@@ -140,14 +139,9 @@ impl Repro {
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
             seed,
-            // Absent in pre-parallel repros: those ran sequentially. The
-            // field is advisory anyway — outcomes are worker-invariant.
-            workers: w
-                .field("workers")
-                .ok()
-                .and_then(Json::as_u64)
-                .unwrap_or(1)
-                .max(1) as usize,
+            // Repros written while the simulator had a parallel engine
+            // also carry a `workers` count; outcomes never depended on
+            // it, so it is ignored.
             // Absent in pre-membership repros: those did not run the
             // self-healing recovery loop.
             membership: w
@@ -339,7 +333,6 @@ mod tests {
                 verify_fcs: true,
                 overload: true,
                 seed: 99,
-                workers: 2,
                 membership: true,
             },
             events: vec![
@@ -409,16 +402,25 @@ mod tests {
     }
 
     /// Repro files written before the overload flag existed must keep
-    /// parsing, defaulting to the unbounded cluster.
+    /// parsing, defaulting to the unbounded cluster. So must files that
+    /// still carry the `workers` count of the retired parallel engine:
+    /// the key is ignored, and the schedule replays sequentially.
     #[test]
     fn missing_overload_field_defaults_to_false() {
-        let old = "{\"format\": 1, \"seed\": 5, \"workload\": {\"op\": \"allreduce\", \
-                   \"nodes\": 3, \"count\": 64, \"transport\": \"tcp\", \
-                   \"verify_fcs\": true}, \"events\": []}";
-        let repro = Repro::from_json(old).unwrap();
-        assert!(!repro.spec.overload);
-        assert_eq!(repro.spec.workers, 1);
-        assert!(!repro.spec.membership);
+        let pre_overload = "{\"format\": 1, \"seed\": 5, \"workload\": {\"op\": \"allreduce\", \
+                            \"nodes\": 3, \"count\": 64, \"transport\": \"tcp\", \
+                            \"verify_fcs\": true}, \"events\": []}";
+        let legacy_workers = "{\"format\": 1, \"seed\": 5, \"workload\": {\"op\": \"allreduce\", \
+                            \"nodes\": 3, \"count\": 64, \"transport\": \"tcp\", \
+                            \"verify_fcs\": true, \"overload\": false, \"workers\": 2, \
+                            \"membership\": false}, \"events\": [{\"kind\": \"drop\", \"index\": 3}]}";
+        for old in [pre_overload, legacy_workers] {
+            let repro = Repro::from_json(old).unwrap();
+            assert!(!repro.spec.overload);
+            assert!(!repro.spec.membership);
+            let report = repro.replay();
+            assert!(report.passed(), "{old}: {:?}", report.violation);
+        }
     }
 
     #[test]

@@ -79,13 +79,6 @@ pub struct ClusterConfig {
     pub busy_retry: Option<RetryPolicy>,
     /// Simulation seed.
     pub seed: u64,
-    /// Simulator worker threads. `1` (the default) runs the sequential
-    /// event loop; `n > 1` partitions the cluster by node (plus the switch
-    /// fabric in its own partition) and advances the partitions
-    /// concurrently in conservative safe windows bounded by the link
-    /// propagation delay. Results, digests and traces are identical at any
-    /// worker count.
-    pub workers: usize,
 }
 
 impl ClusterConfig {
@@ -104,15 +97,7 @@ impl ClusterConfig {
             max_queued_calls: None,
             busy_retry: None,
             seed: 1,
-            workers: 1,
         }
-    }
-
-    /// Sets the simulator worker-thread count (see
-    /// [`ClusterConfig::workers`]).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
     }
 
     /// Caps every elastic resource in the stack at a finite size, turning

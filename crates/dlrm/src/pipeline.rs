@@ -117,27 +117,7 @@ impl PipelineResult {
 /// Panics if any transported message deviates from the reference trace —
 /// the run doubles as an end-to-end data-integrity check.
 pub fn run_pipeline(model: &DlrmModel, timing: DlrmTiming, inferences: usize) -> PipelineResult {
-    run_pipeline_with_workers(model, timing, inferences, 1)
-}
-
-/// [`run_pipeline`] on `workers` simulator threads. Completion times,
-/// verified messages and every data assertion are identical at any worker
-/// count — this is the mixed send/recv/compute workload the parallel
-/// determinism suite pins against the sequential engine.
-pub fn run_pipeline_with_workers(
-    model: &DlrmModel,
-    timing: DlrmTiming,
-    inferences: usize,
-    workers: usize,
-) -> PipelineResult {
-    run_pipeline_observed(
-        model,
-        timing,
-        inferences,
-        workers,
-        &PipelineObserve::default(),
-    )
-    .0
+    run_pipeline_observed(model, timing, inferences, 1, &PipelineObserve::default()).0
 }
 
 /// Observability knobs for [`run_pipeline_observed`]: span tracing and
@@ -155,9 +135,14 @@ pub struct PipelineObserve {
     pub queue: Option<QueueKind>,
 }
 
-/// [`run_pipeline_with_workers`] with observability enabled, returning
-/// the finished cluster alongside the result so callers (the `accl-obs`
-/// trace dump, SLO reports) can read the span stream and metric windows.
+/// [`run_pipeline`] with observability enabled, returning the finished
+/// cluster alongside the result so callers (the `accl-obs` trace dump,
+/// SLO reports) can read the span stream and metric windows.
+///
+/// `workers` must be `1`: the simulator has a single sequential engine.
+/// The parameter only keeps existing positional callers (the benchmark
+/// harness under `perfbench/`) compiling and goes with the next edit to
+/// them.
 #[allow(clippy::needless_range_loop)] // node indices address several parallel arrays
 pub fn run_pipeline_observed(
     model: &DlrmModel,
@@ -166,6 +151,7 @@ pub fn run_pipeline_observed(
     workers: usize,
     observe: &PipelineObserve,
 ) -> (PipelineResult, AcclCluster) {
+    assert_eq!(workers, 1, "the simulator runs one sequential engine");
     let cfg = model.cfg;
     assert_eq!(cfg.fc1_row_groups, 2, "Fig. 15 mapping uses two row groups");
     let cols = cfg.fc1_col_groups;
@@ -192,7 +178,7 @@ pub fn run_pipeline_observed(
             rx_buf_bytes: 32 << 10,
             ..CcloConfig::default()
         },
-        ..ClusterConfig::xrt_tcp(nodes).with_workers(workers)
+        ..ClusterConfig::xrt_tcp(nodes)
     });
     if let Some(kind) = observe.queue {
         cluster.sim.set_queue_kind(kind);
@@ -357,24 +343,26 @@ mod tests {
         assert!(r.verified_messages >= 3 * (2 * 4 + 3 + 2));
     }
 
-    /// The parallel-engine golden gate on the DLRM workload: a mixed
-    /// send/recv/compute pipeline across 10 nodes completes at exactly the
-    /// same instants, with exactly the same verified message stream, at
-    /// any simulator worker count. (Every payload assertion inside
-    /// `run_pipeline` re-runs too — a merge bug that scrambled message
-    /// order would panic before the comparison.)
+    /// The DLRM workload's determinism gate: a mixed send/recv/compute
+    /// pipeline across 10 nodes completes at exactly the same instants,
+    /// with exactly the same verified message stream, on either event
+    /// queue structure. (Every payload assertion inside the pipeline
+    /// re-runs too — a queue bug that scrambled message order would panic
+    /// before the comparison.)
     #[test]
-    fn pipeline_is_worker_count_invariant() {
+    fn pipeline_is_queue_kind_invariant() {
         let m = small_model();
-        let golden = run_pipeline_with_workers(&m, DlrmTiming::default(), 3, 1);
-        for workers in [2, 4, 8] {
-            let r = run_pipeline_with_workers(&m, DlrmTiming::default(), 3, workers);
-            assert_eq!(
-                r.done_at, golden.done_at,
-                "{workers}-worker completion times diverged from sequential"
-            );
-            assert_eq!(r.verified_messages, golden.verified_messages);
-        }
+        let golden = run_pipeline(&m, DlrmTiming::default(), 3);
+        let observe = PipelineObserve {
+            queue: Some(QueueKind::Heap),
+            ..PipelineObserve::default()
+        };
+        let (r, _) = run_pipeline_observed(&m, DlrmTiming::default(), 3, 1, &observe);
+        assert_eq!(
+            r.done_at, golden.done_at,
+            "heap queue moved completion times"
+        );
+        assert_eq!(r.verified_messages, golden.verified_messages);
     }
 
     #[test]

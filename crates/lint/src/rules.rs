@@ -721,7 +721,7 @@ fn counter_custody(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>)
 // ---------------------------------------------------------------------------
 
 /// Every `impl Component` must carry a non-default `state_digest`: the
-/// race detector's shadow runs and the parallel engine's cross-mode gates
+/// race detector's shadow runs and the queue-kind determinism gates
 /// compare digests — a defaulted (`None`) digest makes those comparisons
 /// vacuously pass for the component, which is exactly how coverage rots.
 fn digest_coverage(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>) {
@@ -739,7 +739,7 @@ fn digest_coverage(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>)
             severity: Severity::Deny,
             message: format!(
                 "`impl Component for {}` does not implement `state_digest`: race-detect \
-                 shadow runs and parallel A/B gates silently compare nothing for this \
+                 shadow runs and queue-kind A/B gates silently compare nothing for this \
                  component — digest its externally-meaningful state (counters, totals, \
                  data checksums) with `accl_sim::digest::fnv_fold`",
                 im.type_name

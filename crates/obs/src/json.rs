@@ -36,12 +36,10 @@ fn escape(s: &str) -> String {
 pub fn serialize(doc: &TraceDoc) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"schema\": \"{}\", \"workload\": \"{}\", \"seed\": {}, \"workers\": {}, \
-         \"queue\": \"{}\",\n",
+        "{{\"schema\": \"{}\", \"workload\": \"{}\", \"seed\": {}, \"queue\": \"{}\",\n",
         SCHEMA,
         escape(&doc.workload),
         doc.seed,
-        doc.workers,
         escape(&doc.queue)
     ));
     out.push_str("\"components\": [");
@@ -458,7 +456,9 @@ pub fn parse(text: &str) -> Result<TraceDoc, String> {
     Ok(TraceDoc {
         workload: get(obj, "workload")?.as_str()?.to_string(),
         seed: get(obj, "seed")?.as_u64()?,
-        workers: get(obj, "workers")?.as_u64()?,
+        // Traces written while the simulator had a parallel engine also
+        // carry a `workers` count; it never affected the analyses, so it
+        // is ignored.
         queue: get(obj, "queue")?.as_str()?.to_string(),
         components,
         events,
@@ -474,7 +474,6 @@ mod tests {
         TraceDoc {
             workload: "allreduce8".to_string(),
             seed: 7,
-            workers: 4,
             queue: "calendar".to_string(),
             components: vec!["n0.driver".to_string(), "switch \"x\"".to_string()],
             events: vec![
@@ -534,6 +533,11 @@ mod tests {
         assert_eq!(back, doc);
         // Serialization is canonical: equal docs, equal bytes.
         assert_eq!(serialize(&back), text);
+        // Traces written while the simulator had a parallel engine carry
+        // a `workers` key; they still load, with the key ignored.
+        let legacy = text.replacen("\"seed\": 7,", "\"seed\": 7, \"workers\": 4,", 1);
+        assert_ne!(legacy, text);
+        assert_eq!(parse(&legacy).unwrap(), doc);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Every component that carries externally-meaningful state folds it into
 //! a single `u64` with [`fnv_fold`]; the race detector's shadow runs and
-//! the parallel engine's cross-mode gates compare these digests, so a
-//! digest must cover exactly the state that two equivalent runs are
-//! required to agree on — final logical totals and canonically-ordered
-//! (`BTreeMap`) populations, never tie-order-dependent history.
+//! the queue-kind determinism gates compare these digests, so a digest
+//! must cover exactly the state that two equivalent runs are required to
+//! agree on — final logical totals and canonically-ordered (`BTreeMap`)
+//! populations, never tie-order-dependent history.
 //!
 //! Always compiled (unlike the `race-detect`-gated [`crate::race`] module):
-//! digests also feed the default-build parallel determinism gates.
+//! digests also feed the default-build determinism gates.
 
 /// FNV-1a fold of `bytes` into a running state digest. A zero hash is
 /// seeded with the FNV offset basis first, so `0` doubles as the empty

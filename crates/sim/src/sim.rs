@@ -88,14 +88,9 @@ pub struct Ctx<'a> {
     self_id: ComponentId,
     queue: &'a mut EventQueue,
     seq: &'a mut u64,
-    rng: &'a mut StdRng,
     stats: &'a mut Stats,
     stop: &'a mut bool,
     spans: &'a mut SpanRecorder,
-    /// Cross-partition router when this event executes inside a parallel
-    /// shard (`None` in the sequential loop — the default, byte-identical
-    /// path). See [`crate::shard`].
-    shard: Option<&'a mut crate::shard::ShardRouter>,
 }
 
 impl Ctx<'_> {
@@ -128,46 +123,12 @@ impl Ctx<'_> {
         );
         let seq = *self.seq;
         *self.seq += 1;
-        match &mut self.shard {
-            // Sequential loop: plain `(time, seq)` scheduling, unchanged.
-            None => self.queue.push(at, seq, dst, Payload::new(payload)),
-            Some(router) => {
-                // Parallel shard: the merge key encodes the source
-                // partition alongside the shard-local seq, so the global
-                // event order is `(time, seq, source-partition)` — a pure
-                // function of the simulation, never of thread scheduling.
-                let key = (seq << crate::shard::SHARD_BITS) | router.partition_tag();
-                if router.is_local(dst) {
-                    self.queue.push(at, key, dst, Payload::new(payload));
-                } else {
-                    router.send_remote(at, key, self.self_id, dst, Payload::new(payload));
-                }
-            }
-        }
+        self.queue.push(at, seq, dst, Payload::new(payload));
     }
 
     /// Schedules `payload` back to `port` of the executing component after `delay`.
     pub fn send_self<T: Any + Send>(&mut self, port: PortId, delay: Dur, payload: T) {
         self.send(Endpoint::new(self.self_id, port), delay, payload);
-    }
-
-    /// Deterministic simulation-wide RNG.
-    ///
-    /// Deprecated outside the `race-detect` feature: a single shared stream
-    /// couples every consumer's draw order to the global event schedule, so
-    /// an unrelated refactor can silently reseed a component's behaviour.
-    /// Components that need entropy should own a seeded stream obtained via
-    /// [`Simulator::fork_rng`] at build time instead.
-    #[cfg_attr(
-        not(feature = "race-detect"),
-        deprecated(
-            since = "0.5.0",
-            note = "shared ambient entropy couples components through draw order; \
-                    hold a per-component stream from `Simulator::fork_rng` instead"
-        )
-    )]
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
     }
 
     /// Simulation-wide statistics registry. Stamps the current simulated
@@ -266,9 +227,9 @@ impl Ctx<'_> {
             .instant(self.now, self.self_id, name, parent, attrs);
     }
 
-    /// Emits the departure side of a cross-rank/cross-shard flow edge at
-    /// the current time, anchored to the producing span `from`; returns
-    /// the deterministic [`FlowId`] to carry in the payload
+    /// Emits the departure side of a cross-rank flow edge at the current
+    /// time, anchored to the producing span `from`; returns the
+    /// deterministic [`FlowId`] to carry in the payload
     /// ([`FlowId::NONE`] when recording is off). Every emitted edge must
     /// be joined by a matching [`Ctx::flow_end`] on the receive side —
     /// `accl-lint`'s flow-pairing rule checks this statically.
@@ -397,11 +358,11 @@ const DEPTH_SAMPLE_STRIDE: u64 = 64;
 /// How many trailing spans a [`StallReport`] carries per stuck component.
 const STALL_SPAN_TAIL: usize = 8;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 #[inline]
-pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(FNV_PRIME);
@@ -410,37 +371,28 @@ pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 
 /// The discrete-event simulator.
 pub struct Simulator {
-    pub(crate) time: Time,
-    pub(crate) queue: EventQueue,
-    pub(crate) seq: u64,
-    pub(crate) components: Vec<Option<Box<dyn Component>>>,
-    pub(crate) names: Vec<String>,
+    time: Time,
+    queue: EventQueue,
+    seq: u64,
+    components: Vec<Option<Box<dyn Component>>>,
+    names: Vec<String>,
     seed: u64,
-    pub(crate) rng: StdRng,
-    pub(crate) stats: Stats,
-    pub(crate) spans: SpanRecorder,
-    pub(crate) stop: bool,
-    pub(crate) executed: u64,
+    stats: Stats,
+    spans: SpanRecorder,
+    stop: bool,
+    executed: u64,
     /// Event trace ring buffer (None = tracing off).
-    pub(crate) trace: Option<(Vec<TraceRecord>, usize)>,
+    trace: Option<(Vec<TraceRecord>, usize)>,
     /// Running timeline digest (None = digesting off).
-    pub(crate) digest: Option<u64>,
+    digest: Option<u64>,
     /// Simulated-time deadline for the stall watchdog (None = only check
     /// at queue drain).
-    pub(crate) stall_deadline: Option<Time>,
+    stall_deadline: Option<Time>,
     /// Scheduler gauges for the most recent `run*` call.
     last_run_summary: Option<RunSummary>,
-    /// Worker-thread count for `run*` calls (1 = sequential loop).
-    workers: usize,
-    /// Minimum cross-partition link delay, bounding the conservative
-    /// safe-window width in parallel mode.
-    lookahead: Dur,
-    /// Partition id of every component (parallel to `components`); all
-    /// zeros until [`Simulator::assign_partitions`] is called.
-    pub(crate) partition_of: Vec<u32>,
     /// Tie-set recorder for the race detector (None = off).
     #[cfg(feature = "race-detect")]
-    pub(crate) tie_rec: Option<crate::race::TieRecorder>,
+    tie_rec: Option<crate::race::TieRecorder>,
 }
 
 impl Simulator {
@@ -459,7 +411,6 @@ impl Simulator {
             components: Vec::new(),
             names: Vec::new(),
             seed,
-            rng: StdRng::seed_from_u64(seed),
             stats: Stats::new(),
             spans: SpanRecorder::default(),
             stop: false,
@@ -468,62 +419,9 @@ impl Simulator {
             digest: None,
             stall_deadline: None,
             last_run_summary: None,
-            workers: 1,
-            lookahead: Dur::ZERO,
-            partition_of: Vec::new(),
             #[cfg(feature = "race-detect")]
             tie_rec: None,
         }
-    }
-
-    /// Sets the worker-thread count for subsequent `run*` calls. `1` (the
-    /// default) is the sequential loop; `n > 1` shards the simulation by
-    /// partition (see [`Simulator::assign_partitions`]) and advances the
-    /// shards concurrently in conservative safe windows bounded by the
-    /// configured [`Simulator::set_lookahead`]. Golden digests and state
-    /// digests are independent of the worker count — see [`crate::shard`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Declares the minimum delay every cross-partition event carries —
-    /// typically the network's link-propagation delay. Parallel safe
-    /// windows are `[gmin, gmin + max(lookahead, 1 ps))`; a larger (but
-    /// still sound) lookahead means fewer barriers per simulated second.
-    /// A cross-partition event scheduled to arrive *inside* the open
-    /// window panics, naming the offending edge.
-    pub fn set_lookahead(&mut self, lookahead: Dur) {
-        self.lookahead = lookahead;
-    }
-
-    /// The configured cross-partition lookahead.
-    pub fn lookahead(&self) -> Dur {
-        self.lookahead
-    }
-
-    /// Assigns every registered component to a partition by mapping its
-    /// registration name through `f`. Partition ids must be dense-ish
-    /// (the shard count is `max + 1`); components that exchange events
-    /// with sub-lookahead delays must share a partition. Re-run after
-    /// registering more components — new registrations default to
-    /// partition 0.
-    pub fn assign_partitions(&mut self, f: impl Fn(&str) -> u32) {
-        self.partition_of = self.names.iter().map(|n| f(n)).collect();
-    }
-
-    /// Number of partitions implied by the current assignment (`1` when
-    /// unassigned — everything in partition 0).
-    pub fn partition_count(&self) -> usize {
-        self.partition_of
-            .iter()
-            .copied()
-            .max()
-            .map_or(1, |m| m as usize + 1)
     }
 
     /// Replaces the FIFO tie-breaking rule for same-timestamp events with
@@ -611,7 +509,7 @@ impl Simulator {
     /// from the simulator seed and a stable `label` (conventionally the
     /// component's registration name). Streams are decoupled: a component
     /// drawing from its own fork cannot perturb any other component's
-    /// randomness, unlike the shared (now deprecated) [`Ctx::rng`].
+    /// randomness.
     pub fn fork_rng(&self, label: &str) -> StdRng {
         let mut h = FNV_OFFSET;
         fnv1a(&mut h, label.as_bytes());
@@ -633,9 +531,8 @@ impl Simulator {
     /// Enables fixed-width sim-time metric windows: every counter add,
     /// gauge write, and histogram observation made through [`Ctx::stats`]
     /// is additionally routed into the window containing the simulated
-    /// time of the write. Integer-only and deterministic; windows merge
-    /// across parallel shards by `(window index, partition order)`. Call
-    /// before the run starts. See [`crate::stats::Stats::enable_windows`].
+    /// time of the write. Integer-only and deterministic. Call before the
+    /// run starts. See [`crate::stats::Stats::enable_windows`].
     pub fn enable_metric_windows(&mut self, width: Dur) {
         self.stats.enable_windows(width);
     }
@@ -780,7 +677,6 @@ impl Simulator {
         let id = ComponentId(u32::try_from(self.components.len()).expect("too many components"));
         self.components.push(None);
         self.names.push(name.into());
-        self.partition_of.push(0);
         id
     }
 
@@ -874,17 +770,6 @@ impl Simulator {
     ///
     /// Panics if an event addresses a reserved-but-uninstalled component.
     pub fn step(&mut self) -> bool {
-        self.step_routed(None)
-    }
-
-    /// Executes a single event inside a parallel shard, routing any
-    /// cross-partition sends through `router`. Same contract as
-    /// [`Simulator::step`] otherwise.
-    pub(crate) fn step_with_router(&mut self, router: &mut crate::shard::ShardRouter) -> bool {
-        self.step_routed(Some(router))
-    }
-
-    fn step_routed(&mut self, shard: Option<&mut crate::shard::ShardRouter>) -> bool {
         let Some((time, seq, idx)) = self.queue.pop_key() else {
             return false;
         };
@@ -918,11 +803,9 @@ impl Simulator {
             self_id: dst.comp,
             queue: &mut self.queue,
             seq: &mut self.seq,
-            rng: &mut self.rng,
             stats: &mut self.stats,
             stop: &mut self.stop,
             spans: &mut self.spans,
-            shard,
         };
         comp.on_event(&mut ctx, dst.port, payload);
         #[cfg(feature = "race-detect")]
@@ -987,15 +870,6 @@ impl Simulator {
     }
 
     fn run_loop(&mut self, horizon: Time, max_events: u64, gauges: &mut DepthGauges) -> RunOutcome {
-        // Parallel dispatch: with more than one worker configured and more
-        // than one partition assigned, hand the run to the conservative
-        // parallel engine. It declines (returns `None`) when the partition
-        // assignment leaves nothing to parallelize.
-        if self.workers > 1 {
-            if let Some(outcome) = crate::shard::run_parallel(self, horizon, max_events, gauges) {
-                return outcome;
-            }
-        }
         self.stop = false;
         let mut budget = max_events;
         let mut deadline_pending = self.stall_deadline;
@@ -1060,7 +934,7 @@ impl Simulator {
     }
 
     /// The stall report of the lowest-id stuck component, if any.
-    pub(crate) fn first_stall_report(&self) -> Option<StallReport> {
+    fn first_stall_report(&self) -> Option<StallReport> {
         self.stall_reports().into_iter().next()
     }
 
@@ -1122,7 +996,7 @@ impl Simulator {
 
 /// Queue-depth tracking for one `run*` call: exact maximum, subsampled
 /// series for percentiles.
-pub(crate) struct DepthGauges {
+struct DepthGauges {
     max: usize,
     samples: Vec<usize>,
 }
@@ -1136,7 +1010,7 @@ impl DepthGauges {
     }
 
     #[inline]
-    pub(crate) fn observe(&mut self, executed: u64, depth: usize) {
+    fn observe(&mut self, executed: u64, depth: usize) {
         if depth > self.max {
             self.max = depth;
         }
@@ -1553,7 +1427,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn determinism_same_seed_same_timeline() {
         fn run_once(seed: u64) -> Vec<(u64, u32)> {
             use rand::RngExt;
@@ -1561,6 +1434,7 @@ mod tests {
                 peer: Option<Endpoint>,
                 log: Vec<(u64, u32)>,
                 remaining: u32,
+                rng: StdRng,
             }
             impl Component for Jitterer {
                 fn on_event(&mut self, ctx: &mut Ctx<'_>, _port: PortId, payload: Payload) {
@@ -1568,19 +1442,21 @@ mod tests {
                     self.log.push((ctx.now().as_ps(), v));
                     if self.remaining > 0 {
                         self.remaining -= 1;
-                        let jitter = ctx.rng().random_range(1..1000u64);
+                        let jitter = self.rng.random_range(1..1000u64);
                         let peer = self.peer.unwrap_or(Endpoint::of(ctx.self_id()));
                         ctx.send(peer, Dur::from_ps(jitter), v + 1);
                     }
                 }
             }
             let mut sim = Simulator::new(seed);
+            let rng = sim.fork_rng("a");
             let a = sim.add(
                 "a",
                 Jitterer {
                     peer: None,
                     log: vec![],
                     remaining: 50,
+                    rng,
                 },
             );
             sim.post(Endpoint::of(a), Time::ZERO, 0u32);
@@ -1595,10 +1471,19 @@ mod tests {
     /// queue-kind equivalence tests.
     struct JitterMix {
         remaining: u32,
+        rng: StdRng,
+    }
+
+    impl JitterMix {
+        fn new(sim: &Simulator, remaining: u32) -> Self {
+            JitterMix {
+                remaining,
+                rng: sim.fork_rng("mix"),
+            }
+        }
     }
 
     impl Component for JitterMix {
-        #[allow(deprecated)]
         fn on_event(&mut self, ctx: &mut Ctx<'_>, port: PortId, payload: Payload) {
             use rand::RngExt;
             let v = payload.downcast::<u32>();
@@ -1607,8 +1492,8 @@ mod tests {
             }
             self.remaining -= 1;
             let delay = match v % 5 {
-                0 => Dur::from_us(ctx.rng().random_range(1..200u64)), // far
-                _ => Dur::from_ps(ctx.rng().random_range(1..5000u64)), // near
+                0 => Dur::from_us(self.rng.random_range(1..200u64)), // far
+                _ => Dur::from_ps(self.rng.random_range(1..5000u64)), // near
             };
             ctx.send_self(port, delay, v + 1);
             if v.is_multiple_of(3) {
@@ -1621,7 +1506,7 @@ mod tests {
     fn digest_with_kind(kind: QueueKind) -> u64 {
         let mut sim = Simulator::new_with_queue(7, kind);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 500 });
+        let a = sim.add("mix", JitterMix::new(&sim, 500));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         assert_eq!(sim.run(), RunOutcome::Drained);
         sim.timeline_digest().expect("digest enabled")
@@ -1638,14 +1523,14 @@ mod tests {
     fn digest_detects_timeline_differences() {
         let mut sim = Simulator::new(0);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 10 });
+        let a = sim.add("mix", JitterMix::new(&sim, 10));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         sim.run();
         let d1 = sim.timeline_digest().unwrap();
 
         let mut sim = Simulator::new(0);
         sim.enable_digest();
-        let a = sim.add("mix", JitterMix { remaining: 11 });
+        let a = sim.add("mix", JitterMix::new(&sim, 11));
         sim.post(Endpoint::of(a), Time::ZERO, 0u32);
         sim.run();
         let d2 = sim.timeline_digest().unwrap();
@@ -1657,7 +1542,7 @@ mod tests {
         let run = |swap: bool| -> u64 {
             let mut sim = Simulator::new(3);
             sim.enable_digest();
-            let a = sim.add("mix", JitterMix { remaining: 200 });
+            let a = sim.add("mix", JitterMix::new(&sim, 200));
             for i in 0..10u32 {
                 sim.post(Endpoint::of(a), Time::from_ps(u64::from(i) * 7), i);
             }

@@ -1,15 +1,9 @@
 //! Property tests for the integer [`Histogram`] behind the windowed SLO
 //! time-series.
 //!
-//! The load-bearing property is *merge associativity/commutativity*: the
-//! parallel engine shards a run, each shard observes into its own
-//! histogram, and the gather merges them back in partition order. Any
-//! grouping of the same observations must produce the identical
-//! histogram — otherwise the windowed p99s `accl-obs` exports would
-//! depend on the worker count, breaking the bit-replay contract. The
-//! percentile edge cases (empty, single bucket, p0/p1000) are pinned
-//! alongside because the window exporter calls them on sparse windows
-//! where single-observation histograms are the common case.
+//! The percentile edge cases (empty, single bucket, p0/p1000) are pinned
+//! because the window exporter calls them on sparse windows where
+//! single-observation histograms are the common case.
 
 use accl_sim::stats::Histogram;
 use proptest::prelude::*;
@@ -24,60 +18,6 @@ fn from_values(vals: &[u64]) -> Histogram {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// merge(merge(a, b), c) == merge(a, merge(b, c)) == observing the
-    /// concatenation directly — any shard grouping is equivalent.
-    #[test]
-    fn merge_is_associative_and_matches_sequential(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-        b in proptest::collection::vec(any::<u64>(), 0..64),
-        c in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
-        let (ha, hb, hc) = (from_values(&a), from_values(&b), from_values(&c));
-
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-
-        let all: Vec<u64> = a.iter().chain(&b).chain(&c).copied().collect();
-        let sequential = from_values(&all);
-
-        prop_assert_eq!(&left, &right);
-        prop_assert_eq!(&left, &sequential);
-    }
-
-    /// Merging is commutative: shard order cannot matter.
-    #[test]
-    fn merge_is_commutative(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-        b in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
-        let (ha, hb) = (from_values(&a), from_values(&b));
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Merging an empty histogram is the identity, in either direction.
-    #[test]
-    fn merge_with_empty_is_identity(
-        a in proptest::collection::vec(any::<u64>(), 0..64),
-    ) {
-        let ha = from_values(&a);
-        let mut left = ha.clone();
-        left.merge(&Histogram::new());
-        prop_assert_eq!(&left, &ha);
-        let mut right = Histogram::new();
-        right.merge(&ha);
-        prop_assert_eq!(&right, &ha);
-    }
 
     /// Percentiles are monotone in `p`, bracketed by min/max, and p1000
     /// is exactly the max. Out-of-range `p` clamps to 1000.
