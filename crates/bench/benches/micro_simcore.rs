@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use accl_mem::MemStore;
+use accl_sim::json::escape;
 use accl_sim::prelude::*;
 
 /// Global allocator wrapper counting allocation calls, so the JSON report
@@ -272,10 +273,6 @@ const BASELINE: &[(&str, f64, f64)] = &[
     ("post_then_drain_100k", 5_288_176.0, 1.0),
 ];
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn emit_json(results: &[WorkloadResult], quick: bool) {
     let mut out = String::new();
     out.push_str("{\n");
@@ -291,7 +288,7 @@ fn emit_json(results: &[WorkloadResult], quick: bool) {
     for (i, (name, eps, ape)) in BASELINE.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {{\"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}}}{}\n",
-            json_escape(name),
+            escape(name),
             eps,
             ape,
             if i + 1 < BASELINE.len() { "," } else { "" }
@@ -306,7 +303,7 @@ fn emit_json(results: &[WorkloadResult], quick: bool) {
             .map(|(_, eps, _)| r.events_per_sec / eps);
         out.push_str(&format!(
             "    \"{}\": {{\"events\": {}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.3}{}}}{}\n",
-            json_escape(r.name),
+            escape(r.name),
             r.events,
             r.events_per_sec,
             r.allocs_per_event,

@@ -20,10 +20,10 @@
 //! }
 //! ```
 
-use crate::json::{parse, Json};
 use crate::workload::{self, CollKind, RunReport, WorkloadSpec};
 use accl_core::Transport;
 use accl_net::{Degradation, FaultEvent, FaultPlan, NodeAddr};
+use accl_sim::json::{self, Json};
 use accl_sim::time::{Dur, Time};
 
 /// Repro file format version; bumped on schema changes.
@@ -53,30 +53,20 @@ impl Repro {
 
     /// Serializes to the pretty JSON repro format.
     pub fn to_json(&self) -> String {
+        let op = match self.spec.kind {
+            CollKind::AllReduce => "allreduce",
+            CollKind::Bcast => "bcast",
+        };
+        let transport = match self.spec.transport {
+            Transport::Tcp => "tcp",
+            Transport::Udp => "udp",
+            Transport::Rdma => "rdma",
+        };
         let spec = Json::Obj(vec![
-            (
-                "op".into(),
-                Json::Str(
-                    match self.spec.kind {
-                        CollKind::AllReduce => "allreduce",
-                        CollKind::Bcast => "bcast",
-                    }
-                    .into(),
-                ),
-            ),
+            ("op".into(), Json::Str(op.into())),
             ("nodes".into(), Json::Num(self.spec.nodes as u64)),
             ("count".into(), Json::Num(self.spec.count)),
-            (
-                "transport".into(),
-                Json::Str(
-                    match self.spec.transport {
-                        Transport::Tcp => "tcp",
-                        Transport::Udp => "udp",
-                        Transport::Rdma => "rdma",
-                    }
-                    .into(),
-                ),
-            ),
+            ("transport".into(), Json::Str(transport.into())),
             ("verify_fcs".into(), Json::Bool(self.spec.verify_fcs)),
             ("overload".into(), Json::Bool(self.spec.overload)),
             ("membership".into(), Json::Bool(self.spec.membership)),
@@ -95,28 +85,21 @@ impl Repro {
 
     /// Parses a repro file.
     pub fn from_json(text: &str) -> Result<Repro, String> {
-        let doc = parse(text)?;
-        let format = doc
-            .field("format")?
-            .as_u64()
-            .ok_or("format: not a number")?;
+        let doc = json::parse(text)?;
+        let format: u64 = doc.uint_field("format")?;
         if format != FORMAT {
             return Err(format!(
                 "unsupported repro format {format} (expected {FORMAT})"
             ));
         }
-        let seed = doc.field("seed")?.as_u64().ok_or("seed: not a number")?;
+        let seed = doc.uint_field("seed")?;
         let w = doc.field("workload")?;
-        let kind = match w.field("op")?.as_str().ok_or("op: not a string")? {
+        let kind = match w.str_field("op")? {
             "allreduce" => CollKind::AllReduce,
             "bcast" => CollKind::Bcast,
             other => return Err(format!("unknown op `{other}`")),
         };
-        let transport = match w
-            .field("transport")?
-            .as_str()
-            .ok_or("transport: not a string")?
-        {
+        let transport = match w.str_field("transport")? {
             "tcp" => Transport::Tcp,
             "udp" => Transport::Udp,
             "rdma" => Transport::Rdma,
@@ -124,36 +107,23 @@ impl Repro {
         };
         let spec = WorkloadSpec {
             kind,
-            nodes: w.field("nodes")?.as_u64().ok_or("nodes: not a number")? as usize,
-            count: w.field("count")?.as_u64().ok_or("count: not a number")?,
+            nodes: w.uint_field("nodes")?,
+            count: w.uint_field("count")?,
             transport,
-            verify_fcs: w
-                .field("verify_fcs")?
-                .as_bool()
-                .ok_or("verify_fcs: not a bool")?,
+            verify_fcs: w.bool_field("verify_fcs")?,
             // Absent in pre-overload repros: default to the unbounded
             // cluster those files were recorded against.
-            overload: w
-                .field("overload")
-                .ok()
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            overload: w.get("overload").and_then(Json::as_bool).unwrap_or(false),
             seed,
             // Repros written while the simulator had a parallel engine
             // also carry a `workers` count; outcomes never depended on
             // it, so it is ignored.
             // Absent in pre-membership repros: those did not run the
             // self-healing recovery loop.
-            membership: w
-                .field("membership")
-                .ok()
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            membership: w.get("membership").and_then(Json::as_bool).unwrap_or(false),
         };
         let events = doc
-            .field("events")?
-            .as_arr()
-            .ok_or("events: not an array")?
+            .arr_field("events")?
             .iter()
             .map(event_from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -162,159 +132,130 @@ impl Repro {
 }
 
 fn event_to_json(ev: &FaultEvent) -> Json {
-    let obj = |kind: &str, rest: Vec<(String, Json)>| {
-        let mut pairs = vec![("kind".to_string(), Json::Str(kind.into()))];
-        pairs.extend(rest);
-        Json::Obj(pairs)
-    };
-    match *ev {
-        FaultEvent::Drop { index } => obj("drop", vec![("index".into(), Json::Num(index))]),
-        FaultEvent::Corrupt { index } => obj("corrupt", vec![("index".into(), Json::Num(index))]),
-        FaultEvent::Duplicate { index } => {
-            obj("duplicate", vec![("index".into(), Json::Num(index))])
-        }
-        FaultEvent::Delay { index, by } => obj(
-            "delay",
-            vec![
-                ("index".into(), Json::Num(index)),
-                ("by_ps".into(), Json::Num(by.as_ps())),
-            ],
-        ),
-        FaultEvent::LinkDown { node, from, until } => obj(
+    let (kind, fields): (&str, &[(&str, u64)]) = match *ev {
+        FaultEvent::Drop { index } => ("drop", &[("index", index)]),
+        FaultEvent::Corrupt { index } => ("corrupt", &[("index", index)]),
+        FaultEvent::Duplicate { index } => ("duplicate", &[("index", index)]),
+        FaultEvent::Delay { index, by } => ("delay", &[("index", index), ("by_ps", by.as_ps())]),
+        FaultEvent::LinkDown { node, from, until } => (
             "link_down",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("from_ps".into(), Json::Num(from.as_ps())),
-                ("until_ps".into(), Json::Num(until.as_ps())),
+            &[
+                ("node", node.0.into()),
+                ("from_ps", from.as_ps()),
+                ("until_ps", until.as_ps()),
             ],
         ),
-        FaultEvent::Degrade { node, window } => obj(
+        FaultEvent::Degrade { node, window } => (
             "degrade",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("from_ps".into(), Json::Num(window.from.as_ps())),
-                ("until_ps".into(), Json::Num(window.until.as_ps())),
-                ("loss_ppm".into(), Json::Num(window.loss_ppm as u64)),
-                (
-                    "throttle_gbps_x100".into(),
-                    Json::Num(window.throttle_gbps_x100 as u64),
-                ),
+            &[
+                ("node", node.0.into()),
+                ("from_ps", window.from.as_ps()),
+                ("until_ps", window.until.as_ps()),
+                ("loss_ppm", window.loss_ppm.into()),
+                ("throttle_gbps_x100", window.throttle_gbps_x100.into()),
             ],
         ),
-        FaultEvent::Crash { node, at } => obj(
-            "crash",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-            ],
-        ),
-        FaultEvent::CreditLeak { node, at, credits } => obj(
+        FaultEvent::Crash { node, at } => {
+            ("crash", &[("node", node.0.into()), ("at_ps", at.as_ps())])
+        }
+        FaultEvent::CreditLeak { node, at, credits } => (
             "credit_leak",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("credits".into(), Json::Num(credits as u64)),
+            &[
+                ("node", node.0.into()),
+                ("at_ps", at.as_ps()),
+                ("credits", credits.into()),
             ],
         ),
-        FaultEvent::PauseStorm { node, at, hold } => obj(
+        FaultEvent::PauseStorm { node, at, hold } => (
             "pause_storm",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("hold_ps".into(), Json::Num(hold.as_ps())),
+            &[
+                ("node", node.0.into()),
+                ("at_ps", at.as_ps()),
+                ("hold_ps", hold.as_ps()),
             ],
         ),
-        FaultEvent::BufShrink { node, at, bufs } => obj(
+        FaultEvent::BufShrink { node, at, bufs } => (
             "buf_shrink",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-                ("bufs".into(), Json::Num(bufs as u64)),
+            &[
+                ("node", node.0.into()),
+                ("at_ps", at.as_ps()),
+                ("bufs", bufs.into()),
             ],
         ),
-        FaultEvent::Restart { node, at } => obj(
-            "restart",
-            vec![
-                ("node".into(), Json::Num(node.0 as u64)),
-                ("at_ps".into(), Json::Num(at.as_ps())),
-            ],
-        ),
-        FaultEvent::Partition { mask, from, until } => obj(
+        FaultEvent::Restart { node, at } => {
+            ("restart", &[("node", node.0.into()), ("at_ps", at.as_ps())])
+        }
+        FaultEvent::Partition { mask, from, until } => (
             "partition",
-            vec![
-                ("mask".into(), Json::Num(mask)),
-                ("from_ps".into(), Json::Num(from.as_ps())),
-                ("until_ps".into(), Json::Num(until.as_ps())),
+            &[
+                ("mask", mask),
+                ("from_ps", from.as_ps()),
+                ("until_ps", until.as_ps()),
             ],
         ),
-    }
+    };
+    let mut pairs = vec![("kind".to_string(), Json::Str(kind.into()))];
+    pairs.extend(fields.iter().map(|&(k, v)| (k.to_string(), Json::Num(v))));
+    Json::Obj(pairs)
 }
 
 fn event_from_json(v: &Json) -> Result<FaultEvent, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        v.field(key)?
-            .as_u64()
-            .ok_or_else(|| format!("{key}: not a number"))
-    };
-    let node = |key: &str| -> Result<NodeAddr, String> { Ok(NodeAddr(num(key)? as u32)) };
-    match v.field("kind")?.as_str().ok_or("kind: not a string")? {
-        "drop" => Ok(FaultEvent::Drop {
-            index: num("index")?,
-        }),
-        "corrupt" => Ok(FaultEvent::Corrupt {
-            index: num("index")?,
-        }),
-        "duplicate" => Ok(FaultEvent::Duplicate {
-            index: num("index")?,
-        }),
-        "delay" => Ok(FaultEvent::Delay {
-            index: num("index")?,
-            by: Dur::from_ps(num("by_ps")?),
-        }),
-        "link_down" => Ok(FaultEvent::LinkDown {
-            node: node("node")?,
-            from: Time::from_ps(num("from_ps")?),
-            until: Time::from_ps(num("until_ps")?),
-        }),
-        "degrade" => Ok(FaultEvent::Degrade {
-            node: node("node")?,
+    let index = || v.uint_field("index");
+    let node = || v.uint_field("node").map(NodeAddr);
+    let at = |key: &str| v.uint_field(key).map(Time::from_ps);
+    let dur = |key: &str| v.uint_field(key).map(Dur::from_ps);
+    Ok(match v.str_field("kind")? {
+        "drop" => FaultEvent::Drop { index: index()? },
+        "corrupt" => FaultEvent::Corrupt { index: index()? },
+        "duplicate" => FaultEvent::Duplicate { index: index()? },
+        "delay" => FaultEvent::Delay {
+            index: index()?,
+            by: dur("by_ps")?,
+        },
+        "link_down" => FaultEvent::LinkDown {
+            node: node()?,
+            from: at("from_ps")?,
+            until: at("until_ps")?,
+        },
+        "degrade" => FaultEvent::Degrade {
+            node: node()?,
             window: Degradation {
-                from: Time::from_ps(num("from_ps")?),
-                until: Time::from_ps(num("until_ps")?),
-                loss_ppm: num("loss_ppm")? as u32,
-                throttle_gbps_x100: num("throttle_gbps_x100")? as u32,
+                from: at("from_ps")?,
+                until: at("until_ps")?,
+                loss_ppm: v.uint_field("loss_ppm")?,
+                throttle_gbps_x100: v.uint_field("throttle_gbps_x100")?,
             },
-        }),
-        "crash" => Ok(FaultEvent::Crash {
-            node: node("node")?,
-            at: Time::from_ps(num("at_ps")?),
-        }),
-        "credit_leak" => Ok(FaultEvent::CreditLeak {
-            node: node("node")?,
-            at: Time::from_ps(num("at_ps")?),
-            credits: num("credits")? as u32,
-        }),
-        "pause_storm" => Ok(FaultEvent::PauseStorm {
-            node: node("node")?,
-            at: Time::from_ps(num("at_ps")?),
-            hold: Dur::from_ps(num("hold_ps")?),
-        }),
-        "buf_shrink" => Ok(FaultEvent::BufShrink {
-            node: node("node")?,
-            at: Time::from_ps(num("at_ps")?),
-            bufs: num("bufs")? as u32,
-        }),
-        "restart" => Ok(FaultEvent::Restart {
-            node: node("node")?,
-            at: Time::from_ps(num("at_ps")?),
-        }),
-        "partition" => Ok(FaultEvent::Partition {
-            mask: num("mask")?,
-            from: Time::from_ps(num("from_ps")?),
-            until: Time::from_ps(num("until_ps")?),
-        }),
-        other => Err(format!("unknown event kind `{other}`")),
-    }
+        },
+        "crash" => FaultEvent::Crash {
+            node: node()?,
+            at: at("at_ps")?,
+        },
+        "credit_leak" => FaultEvent::CreditLeak {
+            node: node()?,
+            at: at("at_ps")?,
+            credits: v.uint_field("credits")?,
+        },
+        "pause_storm" => FaultEvent::PauseStorm {
+            node: node()?,
+            at: at("at_ps")?,
+            hold: dur("hold_ps")?,
+        },
+        "buf_shrink" => FaultEvent::BufShrink {
+            node: node()?,
+            at: at("at_ps")?,
+            bufs: v.uint_field("bufs")?,
+        },
+        "restart" => FaultEvent::Restart {
+            node: node()?,
+            at: at("at_ps")?,
+        },
+        "partition" => FaultEvent::Partition {
+            mask: v.uint_field("mask")?,
+            from: at("from_ps")?,
+            until: at("until_ps")?,
+        },
+        other => return Err(format!("unknown event kind `{other}`")),
+    })
 }
 
 #[cfg(test)]
@@ -430,5 +371,27 @@ mod tests {
                    \"nodes\": 2, \"count\": 1, \"transport\": \"tcp\", \
                    \"verify_fcs\": true}, \"events\": []}";
         assert!(Repro::from_json(bad).is_err());
+        // Out-of-range integers are errors naming the field, not silent
+        // truncations: `node` 2^32 must not load as node 0.
+        let with_event = |ev: &str| {
+            bad.replace("gather", "allreduce")
+                .replace("[]", &format!("[{ev}]"))
+        };
+        for (ev, field) in [
+            (
+                "{\"kind\": \"crash\", \"node\": 4294967296, \"at_ps\": 5}",
+                "`node`",
+            ),
+            (
+                "{\"kind\": \"degrade\", \"node\": 1, \"from_ps\": 0, \"until_ps\": 9, \
+                 \"loss_ppm\": 4294967296, \"throttle_gbps_x100\": 0}",
+                "`loss_ppm`",
+            ),
+        ] {
+            let err = Repro::from_json(&with_event(ev)).unwrap_err();
+            assert!(err.contains(field) && err.contains("out of range"), "{err}");
+            let fits = with_event(&ev.replace("4294967296", "4294967295"));
+            assert!(Repro::from_json(&fits).is_ok(), "{fits}");
+        }
     }
 }

@@ -33,8 +33,8 @@
 //! The [`capture`] module runs the reference workloads (8-rank allreduce,
 //! the DLRM inference pipeline) with tracing on and snapshots them into
 //! the self-contained [`model::TraceDoc`] interchange form
-//! (`accl-obs-trace-v1` JSON, hand-rolled — no serde dependency), which
-//! the `accl-obs` binary reads back for offline analysis.
+//! (`accl-obs-trace-v1` JSON, read and written with `accl_sim::json`),
+//! which the `accl-obs` binary reads back for offline analysis.
 
 pub mod capture;
 pub mod critpath;

@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::ComponentId;
+use crate::json::escape;
 use crate::time::{Dur, Time};
 
 /// Whether span recording is compiled into this build (the `trace` cargo
@@ -565,25 +566,11 @@ pub fn max_span_depth(events: &[SpanEvent]) -> usize {
     max
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn attr_json(v: &AttrValue) -> String {
     match v {
         AttrValue::U64(n) | AttrValue::Bytes(n) => format!("{n}"),
         AttrValue::I64(n) => format!("{n}"),
-        AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
+        AttrValue::Str(s) => format!("\"{}\"", escape(s)),
         AttrValue::Dur(d) => format!("\"{d}\""),
     }
 }
@@ -594,7 +581,7 @@ fn args_json(attrs: &[Attr]) -> String {
     }
     let body: Vec<String> = attrs
         .iter()
-        .map(|a| format!("\"{}\": {}", json_escape(a.key), attr_json(&a.value)))
+        .map(|a| format!("\"{}\": {}", escape(a.key), attr_json(&a.value)))
         .collect();
     format!(", \"args\": {{{}}}", body.join(", "))
 }
@@ -666,7 +653,7 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
             format!(
                 "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
                  \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(name)
+                escape(name)
             ),
             &mut out,
         );
@@ -680,8 +667,8 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
                 let common = format!(
                     "\"name\": \"{}\", \"cat\": \"{}\", \"pid\": {}, \"tid\": {}, \
                      \"ts\": {}{}",
-                    json_escape(e.name),
-                    json_escape(cat),
+                    escape(e.name),
+                    escape(cat),
                     pid,
                     tid,
                     ts(e.time),
@@ -706,8 +693,8 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
                 format!(
                     "{{\"ph\": \"i\", \"s\": \"t\", \"name\": \"{}\", \"cat\": \"{}\", \
                      \"pid\": {}, \"tid\": {}, \"ts\": {}{}}}",
-                    json_escape(e.name),
-                    json_escape(cat),
+                    escape(e.name),
+                    escape(cat),
                     pid,
                     tid,
                     ts(e.time),
@@ -724,7 +711,7 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
                     "{{\"ph\": \"s\", \"id\": \"{:#x}\", \"name\": \"{}\", \
                      \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
                     e.id.0,
-                    json_escape(e.name),
+                    escape(e.name),
                     pid,
                     tid,
                     ts(e.time),
@@ -736,7 +723,7 @@ pub fn chrome_trace_json(sim: &crate::sim::Simulator) -> String {
                     "{{\"ph\": \"f\", \"bp\": \"e\", \"id\": \"{:#x}\", \"name\": \"{}\", \
                      \"cat\": \"flow\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
                     e.id.0,
-                    json_escape(e.name),
+                    escape(e.name),
                     pid,
                     tid,
                     ts(e.time),
