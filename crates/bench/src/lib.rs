@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 use accl_core::driver::CollSpec;
-use accl_core::host::HostOp;
 use accl_core::{AcclCluster, BufLoc, BufferHandle, ClusterConfig, CollOp, DType};
 use accl_sim::time::Dur;
 use accl_swmpi::{MpiCall, MpiCluster, MpiConfig};
@@ -277,12 +276,4 @@ pub fn coyote_cluster(n: usize) -> AcclCluster {
 pub fn averaged<F: FnMut(u64) -> Dur>(reps: u64, mut f: F) -> Dur {
     let total: u64 = (0..reps).map(|i| f(i).as_ps()).sum();
     Dur::from_ps(total / reps)
-}
-
-/// Re-export for bench binaries.
-pub use accl_core::host::Program;
-
-/// Builds a host program of compute + collective for the GEMV use case.
-pub fn compute_then_coll(compute: Dur, spec: CollSpec) -> Vec<HostOp> {
-    Program::new().compute(compute).coll(spec).build()
 }

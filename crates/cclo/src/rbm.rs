@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 
+use accl_poe::iface::SessionId;
 use accl_sim::prelude::*;
 use accl_sim::trace::{Attr, AttrValue, SpanId};
 
@@ -254,6 +255,58 @@ impl Rbm {
             .add("rbm.resync_dropped_queries", dropped_queries as u64);
     }
 
+    /// Drops every message that arrived on `session`, for a transport
+    /// session torn down and re-established by a rejoin. The new
+    /// conversation restarts message ids at 0, so the dead session's
+    /// unmatched or half-received messages would otherwise share keys
+    /// with fresh ones and corrupt their reassembly. Call between runs,
+    /// like the POE's session reinstatement: with no event context the
+    /// deferred messages admitted into the freed buffers cannot be matched
+    /// here, so no query may be waiting for them.
+    pub fn reset_session(&mut self, session: SessionId) {
+        self.orphan_data.retain(|k, _| k.session != session);
+        let (_, admitted) = self.drop_msgs(|k, _| k.session == session);
+        for key in admitted {
+            assert!(
+                self.queries.get(&key).is_none_or(VecDeque::is_empty),
+                "session reset mid-run: a query waits on admitted {key:?}"
+            );
+        }
+    }
+
+    /// Drops every message `stale` selects and returns its Rx buffer to the
+    /// pool; freed buffers admit deferred messages in arrival order.
+    /// Returns the number of buffers freed and the admitted messages'
+    /// match keys.
+    fn drop_msgs(&mut self, stale: impl Fn(&RxMsgKey, &MsgState) -> bool) -> (u64, Vec<MatchKey>) {
+        let mut freed = 0;
+        self.msgs.retain(|k, m| {
+            let drop = stale(k, m);
+            freed += u64::from(drop && m.admitted);
+            !drop
+        });
+        for _ in 0..freed {
+            self.release_buf();
+        }
+        let msgs = &self.msgs;
+        self.waiting_admission.retain(|k| msgs.contains_key(k));
+        self.by_match.retain(|_, queue| {
+            queue.retain(|k| msgs.contains_key(k));
+            !queue.is_empty()
+        });
+        let mut admitted = Vec::new();
+        while self.free_bufs > 0 {
+            let Some(wkey) = self.waiting_admission.pop_front() else {
+                break;
+            };
+            self.free_bufs -= 1;
+            let m = self.msgs.get_mut(&wkey).expect("waiting msg vanished");
+            m.admitted = true;
+            admitted.push(MatchKey::of(&m.sig));
+        }
+        (freed, admitted)
+    }
+
     /// Messages buffered but not yet matched.
     pub fn unmatched_messages(&self) -> usize {
         self.msgs.values().filter(|m| !m.matched).count()
@@ -277,37 +330,8 @@ impl Rbm {
                 true
             }
         });
-        let mut victims: Vec<RxMsgKey> = self
-            .msgs
-            .iter()
-            .filter(|(_, m)| hit(&MatchKey::of(&m.sig)))
-            .map(|(k, _)| *k)
-            .collect();
-        victims.sort_by_key(|k| (k.session, k.msg_id));
-        let mut freed = 0u64;
-        for k in &victims {
-            let Some(m) = self.msgs.remove(k) else {
-                continue;
-            };
-            if m.admitted {
-                self.release_buf();
-                freed += 1;
-            }
-        }
-        self.waiting_admission.retain(|k| self.msgs.contains_key(k));
-        self.by_match.retain(|key, _| !hit(key));
-        // Freed buffers admit deferred messages in arrival order.
-        let mut to_match = Vec::new();
-        while self.free_bufs > 0 {
-            let Some(wkey) = self.waiting_admission.pop_front() else {
-                break;
-            };
-            self.free_bufs -= 1;
-            let m = self.msgs.get_mut(&wkey).expect("waiting msg vanished");
-            m.admitted = true;
-            to_match.push(MatchKey::of(&m.sig));
-        }
-        for key in to_match {
+        let (freed, admitted) = self.drop_msgs(|_, m| hit(&MatchKey::of(&m.sig)));
+        for key in admitted {
             self.try_match(ctx, key);
         }
         ctx.stats().add("rbm.purged_bufs", freed);
@@ -588,7 +612,6 @@ impl Component for Rbm {
 mod tests {
     use super::*;
     use crate::msg::MsgType;
-    use accl_poe::iface::SessionId;
 
     fn sig(src: u32, tag: u64, len: u64) -> MsgSignature {
         MsgSignature {

@@ -110,6 +110,13 @@ impl RxSys {
         self.messages_parsed
     }
 
+    /// Drops the parse state of every message in flight on `session`, for
+    /// a transport session re-established by a rejoin (message ids restart
+    /// at 0 on the new conversation).
+    pub fn reset_session(&mut self, session: SessionId) {
+        self.inflight.retain(|k, _| k.session != session);
+    }
+
     /// Attempts to assemble the signature from stashed chunks.
     fn try_parse(stash: &[(u64, Bytes)]) -> Option<MsgSignature> {
         let mut header = [0u8; SIGNATURE_BYTES];

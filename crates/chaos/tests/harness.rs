@@ -312,6 +312,27 @@ fn membership_replay_is_bit_identical() {
     }
 }
 
+/// Rejoin must not leave the survivors' Rx state keyed by the dead
+/// sessions. On this 8-node TCP schedule node 3 still buffers unmatched
+/// eager messages from node 2's first life when node 2 rejoins; the
+/// reinstated session restarts message ids at 0, and before the CCLO's
+/// per-session Rx state was cleared with it, the reissued collective's
+/// messages collided with the stale ones under the same (session,
+/// message id) keys and the RBM panicked on a reassembly gap.
+#[test]
+fn rejoin_clears_survivor_rx_state_of_the_dead_session() {
+    let mut cfg = SweepConfig::membership(1);
+    cfg.nodes = 8;
+    cfg.profile = ChaosProfile::membership_profile(8);
+    let seed = 73_497_379_176_572;
+    let report = accl_chaos::workload::run(&cfg.spec(seed), cfg.plan(seed));
+    assert!(
+        report.passed(),
+        "seed {seed} must heal: {}",
+        report.violation.unwrap()
+    );
+}
+
 /// The checked-in rejoin canary: a crash with *no* matching restart can
 /// never heal, so membership mode must flag it (`MembershipUnhealed`).
 /// CI replays this file with an inverted gate — if the replay ever comes

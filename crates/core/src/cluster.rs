@@ -405,8 +405,22 @@ impl AcclCluster {
 
     /// Reinstates the transport sessions between nodes `a` and `b` in
     /// both directions (session `j` on a node carries traffic to node
-    /// `j`). UDP is connectionless: nothing to reinstate.
+    /// `j`), together with the CCLO Rx state keyed by those sessions.
+    /// UDP is connectionless: nothing to reinstate.
     fn reinstate_pair(&mut self, a: usize, b: usize) {
+        if self.cfg.transport != Transport::Udp {
+            for (node, peer) in [(a, b), (b, a)] {
+                let session = SessionId(peer as u32);
+                let cclo = &self.nodes[node].cclo;
+                let (rxsys, rbm) = (cclo.rxsys, cclo.rbm);
+                self.sim
+                    .component_mut::<accl_cclo::rxsys::RxSys>(rxsys)
+                    .reset_session(session);
+                self.sim
+                    .component_mut::<accl_cclo::rbm::Rbm>(rbm)
+                    .reset_session(session);
+            }
+        }
         match self.cfg.transport {
             Transport::Udp => {}
             Transport::Tcp => {

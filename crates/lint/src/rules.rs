@@ -84,11 +84,13 @@ const CUSTODY: &[Custody] = &[
 ];
 
 fn resource_pairing(file: &str, parsed: &ParsedFile, findings: &mut Vec<Finding>) {
-    for (_, f) in parsed.all_fns() {
+    for (imp, f) in parsed.all_fns() {
+        // Inside the credit gate's own methods, `self` is the gate.
+        let in_gate = imp.is_some_and(|i| i.type_name == "TxCreditGate");
         span_pairing(file, f, findings);
         flow_pairing(file, f, findings);
-        credit_consume(file, f, findings);
-        must_use_gate_results(file, f, findings);
+        credit_consume(file, f, in_gate, findings);
+        must_use_gate_results(file, f, in_gate, findings);
     }
     counter_custody(file, parsed, findings);
 }
@@ -474,14 +476,15 @@ fn last_line(body: &[Node]) -> Option<u32> {
 }
 
 /// A handler that consumes a `CreditReturn` must put the credits back into
-/// a gate (`….gate.credit(…)`) on every path: swallowing the return leaks
-/// the sender's tx window for good — the exact bug of the checked-in
-/// chaos credit-leak repro, caught here at lint time.
-fn credit_consume(file: &str, f: &FnDef, findings: &mut Vec<Finding>) {
-    walk_credit(file, f, &f.body, findings);
+/// a gate (`….gate.credit(…)`, or `self.credit(…)` in the gate's own
+/// handler) on every path: swallowing the return leaks the sender's tx
+/// window for good — the exact bug of the checked-in chaos credit-leak
+/// repro, caught here at lint time.
+fn credit_consume(file: &str, f: &FnDef, in_gate: bool, findings: &mut Vec<Finding>) {
+    walk_credit(file, f, in_gate, &f.body, findings);
 }
 
-fn walk_credit(file: &str, f: &FnDef, nodes: &[Node], findings: &mut Vec<Finding>) {
+fn walk_credit(file: &str, f: &FnDef, in_gate: bool, nodes: &[Node], findings: &mut Vec<Finding>) {
     for node in nodes {
         match node {
             Node::Match {
@@ -497,9 +500,9 @@ fn walk_credit(file: &str, f: &FnDef, nodes: &[Node], findings: &mut Vec<Finding
                         .first()
                         .is_some_and(|t| t.text == "Ok" || t.text == "Some");
                     if consumes && ok_arm {
-                        check_credit_released(file, f, *line, &arm.body, findings);
+                        check_credit_released(file, f, in_gate, *line, &arm.body, findings);
                     }
-                    walk_credit(file, f, &arm.body, findings);
+                    walk_credit(file, f, in_gate, &arm.body, findings);
                 }
             }
             Node::If {
@@ -512,14 +515,16 @@ fn walk_credit(file: &str, f: &FnDef, nodes: &[Node], findings: &mut Vec<Finding
                     && cond.iter().any(|t| t.text.contains("downcast"))
                     && cond.first().is_some_and(|t| t.text == "let");
                 if consumes {
-                    check_credit_released(file, f, *line, then, findings);
+                    check_credit_released(file, f, in_gate, *line, then, findings);
                 }
-                walk_credit(file, f, then, findings);
+                walk_credit(file, f, in_gate, then, findings);
                 if let Some(e) = els {
-                    walk_credit(file, f, e, findings);
+                    walk_credit(file, f, in_gate, e, findings);
                 }
             }
-            Node::Loop { body, .. } | Node::Block(body) => walk_credit(file, f, body, findings),
+            Node::Loop { body, .. } | Node::Block(body) => {
+                walk_credit(file, f, in_gate, body, findings)
+            }
             _ => {}
         }
     }
@@ -528,6 +533,7 @@ fn walk_credit(file: &str, f: &FnDef, nodes: &[Node], findings: &mut Vec<Finding
 fn check_credit_released(
     file: &str,
     f: &FnDef,
+    in_gate: bool,
     line: u32,
     body: &[Node],
     findings: &mut Vec<Finding>,
@@ -540,7 +546,7 @@ fn check_credit_released(
                 events.push(Event::Diverge);
             }
         }
-        if has_gate_credit(toks) {
+        if has_gate_credit(toks, in_gate) {
             events.push(Event::Close {
                 key: "creditreturn".into(),
             });
@@ -578,19 +584,25 @@ fn check_credit_released(
 }
 
 /// `… gate . credit ( …` — the receiver must be a credit gate.
-fn has_gate_credit(toks: &[Token]) -> bool {
+fn has_gate_credit(toks: &[Token], in_gate: bool) -> bool {
     toks.windows(4).any(|w| {
-        w[0].text.ends_with("gate") && w[1].text == "." && w[2].text == "credit" && w[3].text == "("
+        is_gate(&w[0], in_gate) && w[1].text == "." && w[2].text == "credit" && w[3].text == "("
     })
+}
+
+/// Whether `tok` names a credit gate: a `…gate` binding or field, or
+/// `self` inside the gate's own methods.
+fn is_gate(tok: &Token, in_gate: bool) -> bool {
+    tok.text.ends_with("gate") || (in_gate && tok.text == "self")
 }
 
 /// The frames returned by `gate.admit(…)` / `gate.credit(…)` carry data
 /// (and, once stamped, a credit): discarding the result loses both.
-fn must_use_gate_results(file: &str, f: &FnDef, findings: &mut Vec<Finding>) {
+fn must_use_gate_results(file: &str, f: &FnDef, in_gate: bool, findings: &mut Vec<Finding>) {
     visit_leaves(&f.body, &mut |toks| {
         for stmt in statements(toks) {
             let call_at = stmt.windows(4).position(|w| {
-                w[0].text.ends_with("gate")
+                is_gate(&w[0], in_gate)
                     && w[1].text == "."
                     && (w[2].text == "credit" || w[2].text == "admit")
                     && w[3].text == "("

@@ -129,6 +129,31 @@ fn on_credit(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
 }
 
 #[test]
+fn self_credit_releases_only_inside_the_gate() {
+    let handler = "
+    fn on_credit_port(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        match payload.try_downcast::<accl_net::CreditReturn>() {
+            Ok(ret) => {
+                for frame in self.credit(ret.credits, self.credit_ep) {
+                    ctx.send(self.net_tx, self.latency, frame);
+                }
+            }
+            Err(other) => {
+                drop(other);
+            }
+        }
+    }
+";
+    // The gate's own handler credits its window through `self`.
+    let gate = format!("impl TxCreditGate {{{handler}}}");
+    assert_eq!(gating("fixture.rs", &gate), vec![]);
+    // An engine's `self.credit(…)` is its own method, not a gate.
+    let engine = format!("impl RdmaPoe {{{handler}}}");
+    let found = gating("fixture.rs", &engine);
+    assert!(has_rule(&found, "resource-pairing"), "{found:?}");
+}
+
+#[test]
 fn discarded_gate_result_is_flagged() {
     let src = "
 fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
@@ -421,21 +446,21 @@ fn widened_and_divided_picosecond_math_is_clean() {
 
 #[test]
 fn planted_bug_deleted_credit_release_is_caught() {
-    // Take the real UDP engine source, verify it is clean, then plant the
-    // bug the chaos harness hunts at runtime: the CREDIT handler consumes
-    // the CreditReturn without crediting its gate. The analyzer must catch
-    // it statically.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/udp.rs");
-    let src = std::fs::read_to_string(path).expect("read crates/poe/src/udp.rs");
-    let clean = gating("crates/poe/src/udp.rs", &src);
-    assert_eq!(clean, vec![], "shipping UDP engine must lint clean");
+    // Take the real POE interface source, verify it is clean, then plant
+    // the bug the chaos harness hunts at runtime: the credit gate's CREDIT
+    // handler, which every engine delegates to, consumes the CreditReturn
+    // without crediting the window. The analyzer must catch it statically.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../poe/src/iface.rs");
+    let src = std::fs::read_to_string(path).expect("read crates/poe/src/iface.rs");
+    let clean = gating("crates/poe/src/iface.rs", &src);
+    assert_eq!(clean, vec![], "shipping POE interface must lint clean");
 
-    let planted = src.replace("self.gate.credit(ret.credits, credit_ep)", "[]");
+    let planted = src.replace("self.credit(ret.credits, credit_ep)", "[]");
     assert_ne!(
         planted, src,
         "credit-release site not found — handler moved?"
     );
-    let found = gating("crates/poe/src/udp.rs", &planted);
+    let found = gating("crates/poe/src/iface.rs", &planted);
     assert!(
         found.iter().any(|&(r, _)| r == "resource-pairing"),
         "deleting the gate.credit call must trip resource-pairing: {found:?}"

@@ -265,14 +265,6 @@ impl FaultPlan {
         }
     }
 
-    /// A policy duplicating frames i.i.d. with probability `p`.
-    pub fn random_duplication(p: f64) -> Self {
-        FaultPlan {
-            duplicate_probability: assert_probability(p),
-            ..Self::default()
-        }
-    }
-
     /// A policy corrupting exactly the frames with the given indices.
     pub fn corrupt_frames(indices: impl IntoIterator<Item = u64>) -> Self {
         FaultPlan {

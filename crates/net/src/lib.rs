@@ -16,7 +16,6 @@ pub mod fault;
 pub mod frame;
 pub mod switch;
 pub mod topology;
-pub mod twotier;
 
 pub use fault::{
     ChaosProfile, Degradation, FaultAction, FaultEvent, FaultPlan, FaultPlanGen, LinkSchedule,
@@ -25,4 +24,3 @@ pub use fault::{
 pub use frame::{CreditReturn, Frame, NodeAddr, DEFAULT_MTU, WIRE_OVERHEAD_BYTES};
 pub use switch::{NetPort, OverloadPolicy, PauseFrame, PortCounters, Reincarnate, Switch};
 pub use topology::{NetConfig, Network};
-pub use twotier::TwoTierNetwork;

@@ -159,11 +159,6 @@ impl Switch {
         &mut self.fault
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// Counters for port `addr`.
     pub fn port_counters(&self, addr: NodeAddr) -> PortCounters {
         let p = &self.ports[addr.index()];
@@ -188,11 +183,6 @@ impl Switch {
         self.frames_duplicated
     }
 
-    /// Total frames that entered the switch.
-    pub fn frames_seen(&self) -> u64 {
-        self.frame_index
-    }
-
     /// Frames tail-dropped because an egress buffer was full (under
     /// [`OverloadPolicy::Drop`]); disjoint from fault-injected drops.
     pub fn frames_overflow_dropped(&self) -> u64 {
@@ -202,12 +192,6 @@ impl Switch {
     /// Pause frames sent to source NICs (under [`OverloadPolicy::Pause`]).
     pub fn pauses_sent(&self) -> u64 {
         self.pauses_sent
-    }
-
-    /// Cumulative time port `addr`'s egress link has spent serializing —
-    /// divide by elapsed simulated time for link utilization.
-    pub fn egress_busy_time(&self, addr: NodeAddr) -> Dur {
-        self.ports[addr.index()].egress.busy_time()
     }
 
     /// Queues `frame` on its destination port's egress and delivers it
@@ -235,12 +219,10 @@ impl Switch {
             return;
         }
         let wire = u64::from(frame.wire_bytes());
-        port.frames_out += u64::from(frame.segments);
+        port.frames_out += 1;
         port.bytes_out += wire;
         let ready = ctx.now() + self.forward_latency;
-        let (start, end) = port
-            .egress
-            .reserve_batch(ready, wire, u64::from(frame.segments));
+        let (start, end) = port.egress.reserve(ready, wire);
         port.pending_ends.push_back(end);
         if overflowing {
             // PFC-style lossless backpressure: the frame is accepted (the
@@ -260,8 +242,7 @@ impl Switch {
             }
         }
         let port = &mut self.ports[dst.index()];
-        ctx.stats()
-            .add("net.switch.frames", u64::from(frame.segments));
+        ctx.stats().add("net.switch.frames", 1);
         ctx.stats().add("net.switch.bytes", wire);
         ctx.stats()
             .observe("net.switch.queue_wait_ps", (start - ready).as_ps());
@@ -461,22 +442,6 @@ impl NetPort {
         self.frames_in
     }
 
-    /// Wire bytes submitted by the local device so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_in
-    }
-
-    /// Earliest time the egress link is free (for backpressure estimates).
-    pub fn egress_free_at(&self) -> Time {
-        self.egress.next_free()
-    }
-
-    /// Cumulative time this NIC's egress link has spent serializing —
-    /// divide by elapsed simulated time for uplink utilization.
-    pub fn egress_busy_time(&self) -> Dur {
-        self.egress.busy_time()
-    }
-
     /// Pause frames this NIC has honoured so far.
     pub fn pauses_received(&self) -> u64 {
         self.pauses_received
@@ -495,11 +460,9 @@ impl NetPort {
         frame.src = self.addr;
         frame.epoch = self.incarnation;
         let wire = u64::from(frame.wire_bytes());
-        self.frames_in += u64::from(frame.segments);
+        self.frames_in += 1;
         self.bytes_in += wire;
-        let (start, end) = self
-            .egress
-            .reserve_batch(ctx.now(), wire, u64::from(frame.segments));
+        let (start, end) = self.egress.reserve(ctx.now(), wire);
         ctx.stats().add("net.port.bytes", wire);
         if ctx.spans_enabled() {
             if start > ctx.now() {

@@ -208,26 +208,6 @@ impl Network {
     pub fn port_id(&self, i: usize) -> ComponentId {
         self.ports[i]
     }
-
-    /// Records per-link utilization gauges into the simulator's stats:
-    /// `net.link.<i>.busy_ps` (switch egress toward node `i`) and
-    /// `net.link.<i>.nic_busy_ps` (node `i`'s NIC egress), in picoseconds
-    /// of cumulative serialization time. Divide by elapsed simulated time
-    /// for utilization. Intended after a run, not on the hot path.
-    pub fn record_link_stats(&self, sim: &mut Simulator) {
-        for i in 0..self.ports.len() {
-            let busy = sim
-                .component::<Switch>(self.switch)
-                .egress_busy_time(self.addr(i));
-            let nic_busy = sim.component::<NetPort>(self.ports[i]).egress_busy_time();
-            sim.stats_mut()
-                .set_gauge(&format!("net.link.{i}.busy_ps"), busy.as_ps() as i64);
-            sim.stats_mut().set_gauge(
-                &format!("net.link.{i}.nic_busy_ps"),
-                nic_busy.as_ps() as i64,
-            );
-        }
-    }
 }
 
 #[cfg(test)]

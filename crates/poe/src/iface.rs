@@ -246,11 +246,18 @@ pub struct TxCreditLeak {
 /// configured (the default) the gate is a strict pass-through: frames are
 /// neither stamped nor queued and the simulation timeline is untouched.
 ///
-/// Control frames (ACKs, NAKs, RDMA credits) must bypass the gate: gating
-/// the very messages that release peer-side resources can deadlock the
+/// The gate owns the engine's data path to the NIC ([`TxCreditGate::send`])
+/// and its [`ports::CREDIT`] handler ([`TxCreditGate::on_credit_port`]).
+/// Control frames (ACKs, NAKs, RDMA credits) must bypass it: gating the
+/// very messages that release peer-side resources can deadlock the
 /// protocol itself rather than model overload.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TxCreditGate {
+    net_tx: Endpoint,
+    /// Counter bumped per frame queued on a dry window.
+    blocked_stat: &'static str,
+    /// Counter of credits lost to injected leaks.
+    leaked_stat: &'static str,
     window: Option<u32>,
     in_flight: u32,
     leaked: u32,
@@ -259,9 +266,51 @@ pub struct TxCreditGate {
 }
 
 impl TxCreditGate {
-    /// Creates a pass-through gate (no window).
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a pass-through gate (no window) in front of the NIC at
+    /// `net_tx`, recording its backpressure under `blocked_stat` and
+    /// injected leaks under `leaked_stat` (`poe.<engine>.…`).
+    pub fn new(net_tx: Endpoint, blocked_stat: &'static str, leaked_stat: &'static str) -> Self {
+        TxCreditGate {
+            net_tx,
+            blocked_stat,
+            leaked_stat,
+            window: None,
+            in_flight: 0,
+            leaked: 0,
+            queued: std::collections::VecDeque::new(),
+            resource: String::new(),
+        }
+    }
+
+    /// Sends a data frame to the NIC after `latency`, or queues it on a
+    /// dry credit window until [`ports::CREDIT`] returns a credit.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: accl_net::Frame) {
+        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
+        if let Some(frame) = self.admit(frame, credit_ep) {
+            ctx.send(self.net_tx, latency, frame);
+        } else {
+            ctx.stats().add(self.blocked_stat, 1);
+        }
+    }
+
+    /// The engine's [`ports::CREDIT`] handler: a NIC
+    /// [`accl_net::CreditReturn`] releases queued frames to the wire after
+    /// `latency`; an injected [`TxCreditLeak`] shrinks the window for good.
+    pub fn on_credit_port(&mut self, ctx: &mut Ctx<'_>, latency: Dur, payload: Payload) {
+        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
+        match payload.try_downcast::<accl_net::CreditReturn>() {
+            Ok(ret) => {
+                for frame in self.credit(ret.credits, credit_ep) {
+                    ctx.send(self.net_tx, latency, frame);
+                }
+            }
+            Err(other) => {
+                let leak = other.downcast::<TxCreditLeak>();
+                self.leak(leak.credits);
+                ctx.stats().add(self.leaked_stat, u64::from(leak.credits));
+                accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
+            }
+        }
     }
 
     /// Bounds the gate to `window` in-flight frames, naming the credit
@@ -280,11 +329,7 @@ impl TxCreditGate {
     /// when a credit is available — or immediately, unstamped, when no
     /// window is configured. Returns `None` when the frame was queued
     /// awaiting credits; [`TxCreditGate::credit`] releases it later.
-    pub fn admit(
-        &mut self,
-        frame: accl_net::Frame,
-        credit_ep: Endpoint,
-    ) -> Option<accl_net::Frame> {
+    fn admit(&mut self, frame: accl_net::Frame, credit_ep: Endpoint) -> Option<accl_net::Frame> {
         let Some(window) = self.window else {
             return Some(frame);
         };
@@ -300,7 +345,7 @@ impl TxCreditGate {
     /// Returns `credits` to the window and drains queued frames into the
     /// freed budget, stamping each with `credit_ep`. The caller must put
     /// the returned frames on the wire.
-    pub fn credit(&mut self, credits: u32, credit_ep: Endpoint) -> Vec<accl_net::Frame> {
+    fn credit(&mut self, credits: u32, credit_ep: Endpoint) -> Vec<accl_net::Frame> {
         self.in_flight = self.in_flight.saturating_sub(credits);
         let Some(window) = self.window else {
             return Vec::new();
@@ -318,7 +363,7 @@ impl TxCreditGate {
 
     /// Injected fault: `credits` vanish from the window for good (consumed
     /// as if in flight, never returned).
-    pub fn leak(&mut self, credits: u32) {
+    fn leak(&mut self, credits: u32) {
         self.leaked += credits;
         self.in_flight += credits;
     }
@@ -875,9 +920,13 @@ mod tests {
         Endpoint::new(id, ports::CREDIT)
     }
 
+    fn gate() -> TxCreditGate {
+        TxCreditGate::new(gate_ep(), "test.tx_credit_blocked", "test.credits_leaked")
+    }
+
     #[test]
     fn gate_without_window_passes_through_unstamped() {
-        let mut g = TxCreditGate::new();
+        let mut g = gate();
         let out = g.admit(gate_frame(), gate_ep()).expect("pass-through");
         assert!(out.credit_return.is_none(), "must not stamp when ungated");
         assert_eq!(g.in_flight(), 0);
@@ -887,7 +936,7 @@ mod tests {
 
     #[test]
     fn gate_window_queues_overflow_and_credits_release_in_order() {
-        let mut g = TxCreditGate::new();
+        let mut g = gate();
         g.set_window(Some(2), "net.txcredit(n0)");
         let a = g.admit(gate_frame(), gate_ep());
         let b = g.admit(gate_frame(), gate_ep());
@@ -907,7 +956,7 @@ mod tests {
 
     #[test]
     fn gate_leak_shrinks_window_permanently() {
-        let mut g = TxCreditGate::new();
+        let mut g = gate();
         g.set_window(Some(2), "net.txcredit(n0)");
         g.leak(2);
         assert!(

@@ -18,7 +18,7 @@ use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 use crate::iface::{
     ports, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward, RxDemux, SessionErrorKind, SessionId,
-    SessionTable, StreamChunk, TxAssembler, TxCreditGate, TxCreditLeak, TxKind, TxSegment,
+    SessionTable, StreamChunk, TxAssembler, TxCreditGate, TxKind, TxSegment,
 };
 
 /// Token-starvation watchdog timer (self-addressed).
@@ -42,8 +42,7 @@ pub enum RdmaPdu {
     Send {
         /// Receiver-local queue pair.
         dst_qp: SessionId,
-        /// Packet sequence number of the first MTU fragment in this frame
-        /// (per direction per QP, counted in MTU-fragment units).
+        /// Packet sequence number of this fragment (per direction per QP).
         psn: u64,
         /// Sender-assigned message id.
         msg_id: u64,
@@ -58,7 +57,7 @@ pub enum RdmaPdu {
     Write {
         /// Receiver-local queue pair.
         dst_qp: SessionId,
-        /// Packet sequence number of the first MTU fragment in this frame.
+        /// Packet sequence number of this fragment.
         psn: u64,
         /// Message id (distinguishes interleaved writes for stream delivery).
         msg_id: u64,
@@ -117,14 +116,6 @@ pub struct RdmaConfig {
     /// transitions to the error state (fail-stop peer detection). Credit
     /// round trips are a few µs here, so the default is very conservative.
     pub starvation_timeout_us: u64,
-    /// MTU fragments coalesced per simulation event (≥ 1).
-    ///
-    /// With `coalesce = k`, one Tx event carries up to `k` MTU fragments
-    /// in a single [`Frame`]; tokens and credits are accounted **per
-    /// MTU**, so the flow-control window, wire bytes (headers are charged
-    /// per fragment) and timing all match the one-event-per-fragment
-    /// schedule. The default of 1 reproduces the historical behaviour.
-    pub coalesce: u32,
     /// Initial retransmission timeout, µs. Doubles on each consecutive
     /// go-back-N round without ack progress (capped at 64×). Must be well
     /// below `starvation_timeout_us` for transient loss to be repaired
@@ -146,27 +137,20 @@ impl Default for RdmaConfig {
             credit_batch: 16,
             write_delivery: WriteDelivery::Memory,
             starvation_timeout_us: 1_000,
-            coalesce: 1,
             rto_us: 100,
             max_retransmits: 8,
         }
     }
 }
 
-/// MTU-fragment tokens a payload of `len` bytes occupies (free function so
-/// call sites holding field borrows can use it).
-fn frag_tokens(mtu: u32, len: usize) -> u64 {
-    (len as u64).div_ceil(u64::from(mtu)).max(1)
-}
-
 /// Per-queue-pair reliable-delivery sender state (go-back-N).
 #[derive(Debug, Default)]
 struct QpTx {
-    /// PSN of the next fresh fragment, in MTU-fragment units.
+    /// PSN of the next fresh fragment.
     next_psn: u64,
     /// Cumulative PSN acknowledged by the peer (exclusive).
     acked_psn: u64,
-    /// Transmitted, unacknowledged segments with their start PSNs.
+    /// Transmitted, unacknowledged fragments with their PSNs.
     unacked: VecDeque<(u64, TxSegment)>,
     /// Consecutive retransmission rounds without ack progress.
     retries: u32,
@@ -230,7 +214,11 @@ impl RdmaPoe {
             owed_credits: BTreeMap::new(),
             starve_gen: BTreeMap::new(),
             qp_error: BTreeMap::new(),
-            gate: TxCreditGate::new(),
+            gate: TxCreditGate::new(
+                net_tx,
+                "poe.rdma.tx_credit_blocked",
+                "poe.rdma.credits_leaked",
+            ),
             frames_sent: 0,
             frames_received: 0,
             retransmissions: 0,
@@ -306,31 +294,16 @@ impl RdmaPoe {
         &self.gate
     }
 
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.rdma.tx_credit_blocked", 1);
-        }
-    }
-
     fn latency(&self) -> Dur {
         Dur::from_ns(self.cfg.processing_ns)
     }
 
-    /// MTU-fragment tokens a segment of `len` payload bytes occupies.
-    fn tokens_for(&self, len: usize) -> u32 {
-        frag_tokens(self.cfg.mtu, len)
-            .try_into()
-            .expect("token count overflow")
-    }
-
-    /// In-flight (unacknowledged) fragment tokens on `qp`.
-    fn inflight_tokens(&self, qp: SessionId) -> u32 {
-        self.tx
-            .get(&qp)
-            .map_or(0, |st| (st.next_psn - st.acked_psn) as u32)
+    /// Whether `qp` may put one more fragment in flight: each unacked
+    /// fragment holds one token, and an idle QP always may (a zero-token
+    /// window cannot deadlock it).
+    fn has_token(&self, qp: SessionId) -> bool {
+        let inflight = self.tx.get(&qp).map_or(0, |st| st.next_psn - st.acked_psn);
+        inflight < u64::from(self.cfg.token_window) || inflight == 0
     }
 
     fn arm_starve_timer(&mut self, ctx: &mut Ctx<'_>, qp: SessionId) {
@@ -374,13 +347,7 @@ impl RdmaPoe {
             }
             return;
         }
-        let tokens = self.tokens_for(seg.data.len());
-        let inflight = self.inflight_tokens(qp);
-        // Tokens are per MTU fragment, so a coalesced segment charges the
-        // same window budget its fragments would. A segment wider than the
-        // whole window still goes out when the QP is idle (no deadlock).
-        let fits = inflight + tokens <= self.cfg.token_window || inflight == 0;
-        if !fits || self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
+        if !self.has_token(qp) || self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
             let q = self.stalled.entry(qp).or_default();
             let first = q.is_empty();
             q.push_back(seg);
@@ -430,15 +397,14 @@ impl RdmaPoe {
         }
     }
 
-    /// First transmission of a segment: assigns its PSN, charges the token
-    /// window, buffers it for go-back-N retransmission, and reports local
+    /// First transmission of a fragment: assigns its PSN, charges one
+    /// token, buffers it for go-back-N retransmission, and reports local
     /// completion on the final fragment.
     fn transmit(&mut self, ctx: &mut Ctx<'_>, seg: TxSegment) {
         let qp = seg.cmd.session;
-        let fragments = self.tokens_for(seg.data.len());
         let st = self.tx.entry(qp).or_default();
         let psn = st.next_psn;
-        st.next_psn += u64::from(fragments);
+        st.next_psn += 1;
         let was_idle = st.unacked.is_empty();
         st.unacked.push_back((psn, seg.clone()));
         if was_idle {
@@ -482,8 +448,7 @@ impl RdmaPoe {
                 data: seg.data.clone(),
             },
         };
-        let fragments = self.tokens_for(seg.data.len());
-        self.frames_sent += u64::from(fragments);
+        self.frames_sent += 1;
         let mut wire_span = SpanId::NONE;
         if ctx.spans_enabled() {
             wire_span = ctx.span_interval_attrs(
@@ -499,10 +464,9 @@ impl RdmaPoe {
         }
         let flow = ctx.flow_begin("poe.flow", wire_span);
         let frame = Frame::new(accl_net::NodeAddr(0), peer, seg.data.len() as u32, pdu)
-            .with_segments(fragments)
             .with_span(wire_span)
             .with_flow(flow);
-        self.send_gated(ctx, latency, frame);
+        self.gate.send(ctx, latency, frame);
     }
 
     /// Go-back-N: retransmits every unacknowledged segment in PSN order.
@@ -536,11 +500,11 @@ impl RdmaPoe {
         self.arm_rto(ctx, qp);
     }
 
-    /// Accumulates receiver-side credits (in MTU-fragment units) and
-    /// returns them in batches as cumulative acks.
-    fn credit(&mut self, ctx: &mut Ctx<'_>, src_qp: SessionId, units: u32, flush: bool) {
+    /// Accumulates one receiver-side credit per fragment and returns them
+    /// in batches as cumulative acks.
+    fn credit(&mut self, ctx: &mut Ctx<'_>, src_qp: SessionId, flush: bool) {
         let owed = self.owed_credits.entry(src_qp).or_insert(0);
-        *owed += units;
+        *owed += 1;
         if *owed >= self.cfg.credit_batch || flush {
             core::mem::take(owed);
             let ack_psn = self.expected_psn.get(&src_qp).copied().unwrap_or(0);
@@ -563,19 +527,14 @@ impl RdmaPoe {
         if self.qp_error.contains_key(&qp) {
             return;
         }
-        let mtu = self.cfg.mtu;
         let advanced = {
             let st = self.tx.entry(qp).or_default();
             if ack_psn <= st.acked_psn {
                 false // stale duplicate ack
             } else {
                 st.acked_psn = ack_psn;
-                while let Some((start, seg)) = st.unacked.front() {
-                    if start + frag_tokens(mtu, seg.data.len()) <= ack_psn {
-                        st.unacked.pop_front();
-                    } else {
-                        break;
-                    }
+                while st.unacked.front().is_some_and(|&(psn, _)| psn < ack_psn) {
+                    st.unacked.pop_front();
                 }
                 // Progress: reset the retry ladder, void pending timers.
                 st.retries = 0;
@@ -591,22 +550,11 @@ impl RdmaPoe {
         if self.tx.get(&qp).is_some_and(|st| !st.unacked.is_empty()) {
             self.arm_rto(ctx, qp);
         }
-        // Release stalled segments into the freed window.
-        loop {
-            let inflight = self.inflight_tokens(qp);
-            let Some(head_len) = self
-                .stalled
-                .get(&qp)
-                .and_then(|q| q.front())
-                .map(|s| s.data.len())
-            else {
+        // Release stalled fragments into the freed window.
+        while self.has_token(qp) {
+            let Some(seg) = self.stalled.get_mut(&qp).and_then(VecDeque::pop_front) else {
                 break;
             };
-            let tokens = self.tokens_for(head_len);
-            if inflight + tokens > self.cfg.token_window && inflight > 0 {
-                break;
-            }
-            let seg = self.stalled.get_mut(&qp).unwrap().pop_front().unwrap();
             self.transmit(ctx, seg);
         }
         if self.stalled.get(&qp).is_some_and(|q| !q.is_empty()) {
@@ -637,11 +585,10 @@ impl RdmaPoe {
     /// NAK per gap, and a past PSN (go-back-N overshoot or a wire
     /// duplicate) refreshes the peer's cumulative ack so a lost credit
     /// cannot wedge the sender.
-    fn rx_in_order(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, psn: u64, fragments: u32) -> bool {
+    fn rx_in_order(&mut self, ctx: &mut Ctx<'_>, qp: SessionId, psn: u64) -> bool {
         let expected = *self.expected_psn.entry(qp).or_insert(0);
         if psn == expected {
-            self.expected_psn
-                .insert(qp, expected + u64::from(fragments));
+            self.expected_psn.insert(qp, expected + 1);
             self.last_nak.remove(&qp);
             return true;
         }
@@ -684,18 +631,14 @@ impl Component for RdmaPoe {
         match port {
             ports::TX_CMD => {
                 let cmd = payload.downcast::<PoeTxCmd>();
-                let unit = self.cfg.mtu.saturating_mul(self.cfg.coalesce.max(1));
-                let segs = self.assembler.push_cmd(cmd, unit);
+                let segs = self.assembler.push_cmd(cmd, self.cfg.mtu);
                 for seg in segs {
                     self.dispatch(ctx, seg);
                 }
             }
             ports::TX_DATA => {
                 let chunk = payload.downcast::<StreamChunk>();
-                // Segment at `coalesce` MTUs per event; tokens, credits and
-                // wire headers stay per-MTU (see `RdmaConfig::coalesce`).
-                let unit = self.cfg.mtu.saturating_mul(self.cfg.coalesce.max(1));
-                let segs = self.assembler.push_data(chunk.data, unit);
+                let segs = self.assembler.push_data(chunk.data, self.cfg.mtu);
                 for seg in segs {
                     self.dispatch(ctx, seg);
                 }
@@ -711,8 +654,7 @@ impl Component for RdmaPoe {
                     return;
                 }
                 let wire_span = frame.span;
-                let fragments = frame.segments;
-                self.frames_received += u64::from(fragments);
+                self.frames_received += 1;
                 let latency = self.latency();
                 let rx_span = if ctx.spans_enabled() && !wire_span.is_none() {
                     ctx.span_interval("poe.rx", wire_span, ctx.now(), ctx.now() + latency)
@@ -720,93 +662,76 @@ impl Component for RdmaPoe {
                     SpanId::NONE
                 };
                 ctx.flow_end("poe.flow", frame.flow, rx_span);
-                match frame.body.downcast::<RdmaPdu>() {
-                    RdmaPdu::Send {
-                        dst_qp,
-                        psn,
-                        msg_id,
-                        offset,
-                        total,
-                        data,
-                    } => {
-                        if !self.rx_in_order(ctx, dst_qp, psn, fragments) {
-                            return;
+                let (dst_qp, psn, msg_id, write_addr, offset, total, data) =
+                    match frame.body.downcast::<RdmaPdu>() {
+                        RdmaPdu::Send {
+                            dst_qp,
+                            psn,
+                            msg_id,
+                            offset,
+                            total,
+                            data,
+                        } => (dst_qp, psn, msg_id, None, offset, total, data),
+                        RdmaPdu::Write {
+                            dst_qp,
+                            psn,
+                            msg_id,
+                            addr,
+                            offset,
+                            total,
+                            data,
+                        } => (dst_qp, psn, msg_id, Some(addr), offset, total, data),
+                        RdmaPdu::Credit { dst_qp, ack_psn } => {
+                            return self.on_credit(ctx, dst_qp, ack_psn);
                         }
-                        let units = self.tokens_for(data.len());
-                        // The PSN gate admits each fragment exactly once, so
-                        // the demux cannot see duplicates.
-                        let (meta, chunk) = self
-                            .demux
-                            .accept(dst_qp, msg_id, offset, total, data, rx_span)
-                            .expect("in-order PSN admitted a duplicate");
-                        let flush = chunk.last;
-                        if let Some(meta) = meta {
-                            ctx.send(self.up.rx_meta, latency, meta);
-                        }
-                        ctx.send(self.up.rx_data, latency, chunk);
-                        self.credit(ctx, dst_qp, units, flush);
-                    }
-                    RdmaPdu::Write {
-                        dst_qp,
-                        psn,
-                        msg_id,
-                        addr,
-                        offset,
-                        total,
-                        data,
-                    } => {
-                        if !self.rx_in_order(ctx, dst_qp, psn, fragments) {
-                            return;
-                        }
-                        let units = self.tokens_for(data.len());
-                        match self.cfg.write_delivery {
-                            WriteDelivery::Memory => {
-                                let bus = self.mem_bus.unwrap_or_else(|| {
-                                    panic!("RDMA WRITE received but no memory bus attached")
-                                });
-                                ctx.send(
-                                    Endpoint::new(bus, mem_ports::WRITE),
-                                    latency,
-                                    MemWriteReq {
-                                        addr: MemAddr::Virt(addr + offset),
-                                        data: data.clone(),
-                                        done_to: None,
-                                        tag: msg_id,
-                                        span: rx_span,
-                                    },
-                                );
-                                // The CCLO is bypassed; only flow control sees
-                                // the fragment.
-                                let last = offset + data.len() as u64 == total;
-                                self.credit(ctx, dst_qp, units, last);
-                            }
-                            WriteDelivery::Stream => {
-                                let to = self.write_stream_to.unwrap_or_else(|| {
-                                    panic!("stream WRITE delivery configured without endpoint")
-                                });
-                                let (meta, chunk) = self
-                                    .write_demux
-                                    .accept(dst_qp, msg_id, offset, total, data, rx_span)
-                                    .expect("in-order PSN admitted a duplicate");
-                                let flush = chunk.last;
-                                if let Some(meta) = meta {
-                                    ctx.send(self.up.rx_meta, latency, meta);
-                                }
-                                ctx.send(to, latency, chunk);
-                                self.credit(ctx, dst_qp, units, flush);
-                            }
-                        }
-                    }
-                    RdmaPdu::Credit { dst_qp, ack_psn } => {
-                        self.on_credit(ctx, dst_qp, ack_psn);
-                    }
-                    RdmaPdu::Nak {
-                        dst_qp,
-                        expected_psn,
-                    } => {
-                        self.on_nak(ctx, dst_qp, expected_psn);
-                    }
+                        RdmaPdu::Nak {
+                            dst_qp,
+                            expected_psn,
+                        } => return self.on_nak(ctx, dst_qp, expected_psn),
+                    };
+                if !self.rx_in_order(ctx, dst_qp, psn) {
+                    return;
                 }
+                let (demux, to) = match (write_addr, self.cfg.write_delivery) {
+                    (None, _) => (&mut self.demux, self.up.rx_data),
+                    (Some(addr), WriteDelivery::Memory) => {
+                        let bus = self.mem_bus.unwrap_or_else(|| {
+                            panic!("RDMA WRITE received but no memory bus attached")
+                        });
+                        ctx.send(
+                            Endpoint::new(bus, mem_ports::WRITE),
+                            latency,
+                            MemWriteReq {
+                                addr: MemAddr::Virt(addr + offset),
+                                data: data.clone(),
+                                done_to: None,
+                                tag: msg_id,
+                                span: rx_span,
+                            },
+                        );
+                        // The CCLO is bypassed; only flow control sees the
+                        // fragment.
+                        let last = offset + data.len() as u64 == total;
+                        return self.credit(ctx, dst_qp, last);
+                    }
+                    (Some(_), WriteDelivery::Stream) => {
+                        let to = self.write_stream_to.unwrap_or_else(|| {
+                            panic!("stream WRITE delivery configured without endpoint")
+                        });
+                        (&mut self.write_demux, to)
+                    }
+                };
+                // The PSN gate admits each fragment exactly once, so the
+                // demux cannot see duplicates.
+                let (meta, chunk) = demux
+                    .accept(dst_qp, msg_id, offset, total, data, rx_span)
+                    .expect("in-order PSN admitted a duplicate");
+                let flush = chunk.last;
+                if let Some(meta) = meta {
+                    ctx.send(self.up.rx_meta, latency, meta);
+                }
+                ctx.send(to, latency, chunk);
+                self.credit(ctx, dst_qp, flush);
             }
             ports::TIMER => match payload.try_downcast::<StarveTimer>() {
                 Ok(timer) => {
@@ -830,24 +755,7 @@ impl Component for RdmaPoe {
                     self.retry_round(ctx, timer.qp);
                 }
             },
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.rdma.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.gate.on_credit_port(ctx, self.latency(), payload),
             other => panic!("RDMA engine has no port {other:?}"),
         }
     }
@@ -1342,45 +1250,6 @@ mod tests {
             .unwrap();
         let gbps = (len as f64) * 8.0 / t.as_ns_f64();
         assert!(gbps > 90.0, "goodput={gbps:.1} Gb/s");
-    }
-
-    #[test]
-    fn coalescing_preserves_flow_control_with_fewer_events() {
-        let len = 2 << 20;
-        let msg: Vec<u8> = (0..len as u32).map(|i| (i % 229) as u8).collect();
-        let run = |coalesce: u32| {
-            let cfg = RdmaConfig {
-                token_window: 16,
-                credit_batch: 4,
-                coalesce,
-                ..RdmaConfig::default()
-            };
-            let mut b = bench_cfg(2, cfg, None);
-            issue(&mut b, 0, 1, TxKind::Send, msg.clone(), 0);
-            b.sim.run();
-            let mut got = vec![0u8; len];
-            for (_, c) in b.sim.component::<Mailbox<RxChunk>>(b.datas[1]).items() {
-                got[c.offset as usize..c.offset as usize + c.data.len()].copy_from_slice(&c.data);
-            }
-            assert_eq!(got, msg, "coalesce={coalesce}");
-            let poe = b.sim.component::<RdmaPoe>(b.poes[0]);
-            assert!(poe.failed_qps().is_empty(), "coalesce={coalesce}");
-            (
-                poe.frames_sent(),
-                b.sim.events_executed(),
-                b.net.port_counters(&b.sim, 1).bytes_out,
-            )
-        };
-        let (frames1, events1, bytes1) = run(1);
-        let (frames4, events4, bytes4) = run(4);
-        // Tokens, credits and headers are per MTU, so the wire story is
-        // identical; only the event count shrinks.
-        assert_eq!(frames1, frames4);
-        assert_eq!(bytes1, bytes4);
-        assert!(
-            events4 * 2 < events1,
-            "coalescing saved too few events: {events4} vs {events1}"
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use accl_sim::trace::{Attr, AttrValue, FlowId, SpanId};
 
 use crate::iface::{
     ports, PoeRxMeta, PoeSessionError, PoeTxCmd, PoeTxDone, PoeUpward, RxChunk, SessionErrorKind,
-    SessionId, SessionTable, StreamChunk, TxCreditGate, TxCreditLeak, TxKind,
+    SessionId, SessionTable, StreamChunk, TxCreditGate, TxKind,
 };
 
 /// In-stream message header: 8-byte little-endian length prefix.
@@ -75,16 +75,6 @@ pub struct TcpConfig {
     /// session is declared dead (fail-stop peer detection). Mirrors Linux
     /// `tcp_retries2`, scaled down to data-center RTOs.
     pub max_retransmits: u32,
-    /// Segments coalesced per simulation event (≥ 1).
-    ///
-    /// With `coalesce = k`, one Tx event carries up to `k` MSS segments in
-    /// a single [`Frame`] whose wire occupancy equals the per-segment
-    /// schedule (headers are charged per segment, see
-    /// [`Frame::with_segments`]). Bytes on the wire, ACK counts and
-    /// timing are unchanged; only simulator event counts shrink. The
-    /// default of 1 reproduces the historical one-event-per-segment
-    /// behaviour.
-    pub coalesce: u32,
     /// Verify the frame check sequence at RX and discard corrupted frames
     /// (the hardware MAC's behaviour, always on in practice).
     ///
@@ -105,7 +95,6 @@ impl Default for TcpConfig {
             min_rto_us: 25,
             max_rto_us: 10_000,
             max_retransmits: 8,
-            coalesce: 1,
             verify_fcs: true,
         }
     }
@@ -250,7 +239,11 @@ impl TcpPoe {
             out_q: VecDeque::new(),
             raw: VecDeque::new(),
             raw_len: 0,
-            gate: TxCreditGate::new(),
+            gate: TxCreditGate::new(
+                net_tx,
+                "poe.tcp.tx_credit_blocked",
+                "poe.tcp.credits_leaked",
+            ),
             segments_sent: 0,
             acks_sent: 0,
             frames_corrupted_discarded: 0,
@@ -304,15 +297,6 @@ impl TcpPoe {
     /// The tx credit gate (for introspection in tests and diagnostics).
     pub fn tx_credit_gate(&self) -> &TxCreditGate {
         &self.gate
-    }
-
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.tcp.tx_credit_blocked", 1);
-        }
     }
 
     fn latency(&self) -> Dur {
@@ -454,20 +438,18 @@ impl TcpPoe {
 
     fn try_send(&mut self, ctx: &mut Ctx<'_>, session: SessionId) {
         let mss = u64::from(self.cfg.mss);
-        let unit = mss * u64::from(self.cfg.coalesce.max(1));
         let latency = self.latency();
         let (peer, peer_session) = self.sessions.peer(session);
         let st = self.tx_state(session);
-        let mut sent = 0u64;
         let mut frames = Vec::new();
         loop {
             let inflight = st.snd_nxt - st.snd_una;
             if st.pending_len == 0 || inflight >= st.peer_rwnd {
                 break;
             }
-            let n = unit.min(st.pending_len).min(st.peer_rwnd - inflight);
-            // Zero-copy fast path: the head buffer covers the whole send
-            // unit, so slice it instead of copying — the common case when
+            let n = mss.min(st.pending_len).min(st.peer_rwnd - inflight);
+            // Zero-copy fast path: the head buffer covers the whole
+            // segment, so slice it instead of copying — the common case when
             // a DMA read delivered the message as one refcounted chunk.
             let head = st.pending.front_mut().unwrap();
             let data = if head.len() as u64 >= n {
@@ -496,8 +478,6 @@ impl TcpPoe {
             if st.rtt_probe.is_none() {
                 st.rtt_probe = Some((seq + n, ctx.now()));
             }
-            let segments = n.div_ceil(mss) as u32;
-            sent += u64::from(segments);
             let mut wire_span = SpanId::NONE;
             if ctx.spans_enabled() {
                 let parent = Self::mark_span(st, seq);
@@ -523,14 +503,13 @@ impl TcpPoe {
                     data,
                 },
             )
-            .with_segments(segments)
             .with_span(wire_span)
             .with_flow(flow);
             frames.push(frame);
         }
-        self.segments_sent += sent;
+        self.segments_sent += frames.len() as u64;
         for frame in frames {
-            self.send_gated(ctx, latency, frame);
+            self.gate.send(ctx, latency, frame);
         }
         let st = self.tx_state(session);
         if !st.unacked.is_empty() && !st.timer_armed {
@@ -566,8 +545,7 @@ impl TcpPoe {
         let parent = Self::mark_span(st, seq);
         ctx.stats().add("poe.tcp.retransmits", 1);
         accl_sim::trace_instant!(ctx, "poe.retransmit", parent);
-        let segments = (data.len() as u64).div_ceil(u64::from(self.cfg.mss)).max(1) as u32;
-        self.segments_sent += u64::from(segments);
+        self.segments_sent += 1;
         let flow = ctx.flow_begin("poe.flow", parent);
         let frame = Frame::new(
             accl_net::NodeAddr(0),
@@ -579,10 +557,9 @@ impl TcpPoe {
                 data,
             },
         )
-        .with_segments(segments)
         .with_span(parent)
         .with_flow(flow);
-        self.send_gated(ctx, latency, frame);
+        self.gate.send(ctx, latency, frame);
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: TcpAck) {
@@ -769,24 +746,7 @@ impl Component for TcpPoe {
                 let st = self.tx_state(session);
                 Self::arm_timer_inner(ctx, st, session);
             }
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.tcp.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.gate.on_credit_port(ctx, self.latency(), payload),
             other => panic!("TCP engine has no port {other:?}"),
         }
     }
@@ -881,7 +841,7 @@ impl Component for TcpPoe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iface::CompletionLog;
+    use crate::iface::{CompletionLog, TxCreditLeak};
     use accl_net::{FaultPlan, NetConfig, Network};
 
     struct Bench {
@@ -1165,48 +1125,6 @@ mod tests {
             .unwrap();
         let gbps = (len as f64) * 8.0 / t.as_ns_f64();
         assert!(gbps > 90.0, "goodput={gbps:.1} Gb/s");
-    }
-
-    #[test]
-    fn coalescing_preserves_bytes_and_throughput_with_fewer_events() {
-        let len = 4 << 20;
-        let msg: Vec<u8> = (0..len as u32).map(|i| (i % 239) as u8).collect();
-        let run = |coalesce: u32| {
-            let cfg = TcpConfig {
-                coalesce,
-                ..TcpConfig::default()
-            };
-            let mut b = bench_cfg(2, cfg);
-            send(&mut b, 0, 1, msg.clone(), 0);
-            b.sim.run();
-            assert_eq!(received(&b, 1, len), msg, "coalesce={coalesce}");
-            let poe = b.sim.component::<TcpPoe>(b.poes[0]);
-            let t = b
-                .sim
-                .component::<Mailbox<RxChunk>>(b.datas[1])
-                .last_arrival()
-                .unwrap();
-            (
-                poe.segments_sent(),
-                b.sim.events_executed(),
-                b.net.port_counters(&b.sim, 1).bytes_out,
-                (len as f64) * 8.0 / t.as_ns_f64(),
-            )
-        };
-        let (segs1, events1, bytes1, gbps1) = run(1);
-        let (segs8, events8, bytes8, gbps8) = run(8);
-        // Same wire segments and bytes — headers are charged per segment —
-        // but far fewer simulator events.
-        assert_eq!(segs1, segs8);
-        assert_eq!(bytes1, bytes8);
-        assert!(
-            events8 * 2 < events1,
-            "coalescing saved too few events: {events8} vs {events1}"
-        );
-        // Throughput stays at line rate; only the store-and-forward
-        // pipelining granularity coarsens (bounded, small at this size).
-        assert!(gbps1 > 90.0, "goodput={gbps1:.1}");
-        assert!(gbps8 > 90.0, "goodput={gbps8:.1}");
     }
 
     #[test]

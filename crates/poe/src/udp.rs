@@ -14,7 +14,7 @@ use accl_sim::trace::{Attr, AttrValue, SpanId};
 
 use crate::iface::{
     ports, PoeTxCmd, PoeTxDone, PoeUpward, RxDemux, SessionTable, StreamChunk, TxAssembler,
-    TxCreditGate, TxCreditLeak, TxKind, TxSegment,
+    TxCreditGate, TxKind, TxSegment,
 };
 
 /// Per-datagram header modelled on the wire (message id, offset, total).
@@ -56,7 +56,6 @@ impl Default for UdpConfig {
 /// The UDP protocol offload engine component.
 pub struct UdpPoe {
     cfg: UdpConfig,
-    net_tx: Endpoint,
     up: PoeUpward,
     sessions: SessionTable,
     assembler: TxAssembler,
@@ -73,12 +72,15 @@ impl UdpPoe {
     pub fn new(cfg: UdpConfig, net_tx: Endpoint, up: PoeUpward, sessions: SessionTable) -> Self {
         UdpPoe {
             cfg,
-            net_tx,
             up,
             sessions,
             assembler: TxAssembler::new(),
             demux: RxDemux::new(),
-            gate: TxCreditGate::new(),
+            gate: TxCreditGate::new(
+                net_tx,
+                "poe.udp.tx_credit_blocked",
+                "poe.udp.credits_leaked",
+            ),
             dgrams_sent: 0,
             dgrams_received: 0,
             dgrams_corrupted_dropped: 0,
@@ -118,15 +120,6 @@ impl UdpPoe {
         &self.gate
     }
 
-    fn send_gated(&mut self, ctx: &mut Ctx<'_>, latency: Dur, frame: Frame) {
-        let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-        if let Some(frame) = self.gate.admit(frame, credit_ep) {
-            ctx.send(self.net_tx, latency, frame);
-        } else {
-            ctx.stats().add("poe.udp.tx_credit_blocked", 1);
-        }
-    }
-
     fn latency(&self) -> Dur {
         Dur::from_ns(self.cfg.processing_ns)
     }
@@ -164,7 +157,7 @@ impl UdpPoe {
             let frame = Frame::new(accl_net::NodeAddr(0), peer, payload_bytes, dgram)
                 .with_span(wire_span)
                 .with_flow(flow);
-            self.send_gated(ctx, latency, frame);
+            self.gate.send(ctx, latency, frame);
             if seg.last {
                 ctx.send(
                     self.up.tx_done,
@@ -235,24 +228,7 @@ impl Component for UdpPoe {
                 }
                 ctx.send(self.up.rx_data, latency, chunk);
             }
-            ports::CREDIT => {
-                let latency = self.latency();
-                let credit_ep = Endpoint::new(ctx.self_id(), ports::CREDIT);
-                match payload.try_downcast::<accl_net::CreditReturn>() {
-                    Ok(ret) => {
-                        for frame in self.gate.credit(ret.credits, credit_ep) {
-                            ctx.send(self.net_tx, latency, frame);
-                        }
-                    }
-                    Err(other) => {
-                        let leak = other.downcast::<TxCreditLeak>();
-                        self.gate.leak(leak.credits);
-                        ctx.stats()
-                            .add("poe.udp.credits_leaked", u64::from(leak.credits));
-                        accl_sim::trace_instant!(ctx, "poe.credit_leak", SpanId::NONE);
-                    }
-                }
-            }
+            ports::CREDIT => self.gate.on_credit_port(ctx, self.latency(), payload),
             other => panic!("UDP engine has no port {other:?}"),
         }
     }

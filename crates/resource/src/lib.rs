@@ -158,16 +158,6 @@ pub mod components {
         }
     }
 
-    /// The VNx UDP POE (lightest engine).
-    pub fn udp_poe() -> Resources {
-        Resources {
-            klut: 75.0,
-            dsp: 0.0,
-            bram: 45.0,
-            uram: 0.0,
-        }
-    }
-
     /// A DLRM fully-connected layer of `rows × cols` in 32-bit fixed
     /// point, decomposed over `fpgas` devices, with `table_mem_bytes` of
     /// embedding storage held in on-chip URAM alongside it.

@@ -105,16 +105,15 @@ impl Pipe {
         self.bytes
     }
 
-    /// Occupancy cost of `bytes` in `items` units, in fixed-point ps.
+    /// Occupancy cost of one `bytes`-sized item, in fixed-point ps.
     #[inline]
-    fn cost_fp(&self, bytes: u64, items: u64) -> u128 {
-        bytes as u128 * self.cost_per_byte_fp
-            + ((self.per_item.as_ps() as u128) << FP_BITS) * items as u128
+    fn cost_fp(&self, bytes: u64) -> u128 {
+        bytes as u128 * self.cost_per_byte_fp + ((self.per_item.as_ps() as u128) << FP_BITS)
     }
 
     /// Pure query: how long would `bytes` occupy this resource?
     pub fn service_time(&self, bytes: u64) -> Dur {
-        Dur::from_ps((self.cost_fp(bytes, 1) >> FP_BITS) as u64)
+        Dur::from_ps((self.cost_fp(bytes) >> FP_BITS) as u64)
     }
 
     /// Reserves the resource for `bytes` arriving at `now`.
@@ -123,24 +122,12 @@ impl Pipe {
     /// (no earlier than `now`) and ends after its serialization time.
     #[inline]
     pub fn reserve(&mut self, now: Time, bytes: u64) -> (Time, Time) {
-        self.reserve_batch(now, bytes, 1)
-    }
-
-    /// Reserves one back-to-back burst of `items` units totalling `bytes`.
-    ///
-    /// Equivalent in occupancy to `items` consecutive `reserve` calls over
-    /// the same bytes — the per-item overhead is charged `items` times —
-    /// but returns a single `(start, end)` interval and counts as one
-    /// scheduling decision. This is what segment coalescing in the POEs
-    /// uses: one event reserves `k` MTU segments and the wire occupancy is
-    /// identical to the per-segment schedule.
-    pub fn reserve_batch(&mut self, now: Time, bytes: u64, items: u64) -> (Time, Time) {
         let start_fp = self.next_free_fp.max((now.as_ps() as u128) << FP_BITS);
-        let cost = self.cost_fp(bytes, items);
+        let cost = self.cost_fp(bytes);
         let end_fp = start_fp + cost;
         self.next_free_fp = end_fp;
         self.busy_fp += cost;
-        self.items += items;
+        self.items += 1;
         self.bytes += bytes;
         (
             Time::from_ps((start_fp >> FP_BITS) as u64),
@@ -264,21 +251,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reserve_batch_matches_consecutive_reserves() {
-        let mut batched = Pipe::gbps(100.0).with_per_item(Dur::from_ns(50));
-        let mut serial = Pipe::gbps(100.0).with_per_item(Dur::from_ns(50));
-        let (bs, be) = batched.reserve_batch(Time::ZERO, 4 * 1250, 4);
-        let mut last = (Time::ZERO, Time::ZERO);
-        for _ in 0..4 {
-            last = serial.reserve(Time::ZERO, 1250);
-        }
-        assert_eq!(bs, Time::ZERO);
-        assert_eq!(be, last.1);
-        assert_eq!(batched.items(), 4);
-        assert_eq!(batched.bytes_moved(), 5000);
-        assert_eq!(batched.busy_time(), serial.busy_time());
     }
 }

@@ -495,11 +495,6 @@ impl Simulator {
         self.stall_deadline = Some(deadline);
     }
 
-    /// Disarms the simulated-time stall deadline.
-    pub fn clear_stall_deadline(&mut self) {
-        self.stall_deadline = None;
-    }
-
     /// The seed this simulator was created with.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -749,11 +744,6 @@ impl Simulator {
         self.queue.push(at, seq, dst, Payload::new(payload));
     }
 
-    /// Schedules `payload` for delivery to `dst` after `delay` from now.
-    pub fn post_in<T: Any + Send>(&mut self, dst: Endpoint, delay: Dur, payload: T) {
-        self.post(dst, self.time + delay, payload);
-    }
-
     /// Read-only statistics registry.
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -984,13 +974,6 @@ impl Simulator {
                 Some((self.names[i].clone(), st))
             })
             .collect()
-    }
-
-    /// Runs the deadlock detector over the current resource states: the
-    /// diagnosed wait chain, if components are stuck on each other's (or
-    /// leaked) resources. See [`crate::deadlock`].
-    pub fn deadlock_report(&self) -> Option<DeadlockReport> {
-        deadlock::analyze(&self.resource_states())
     }
 }
 

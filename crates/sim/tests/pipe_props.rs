@@ -2,12 +2,12 @@
 //!
 //! The load-bearing property is *segmentation neutrality*: splitting a
 //! transfer into arbitrary back-to-back pieces must end at exactly the
-//! instant the unsplit transfer would. TCP/RDMA segmentation and the POE
-//! coalescing knob rely on this — changing how many events carry a message
-//! must not move its last byte on the wire.
+//! instant the unsplit transfer would. POE segmentation relies on this:
+//! cutting a message into MTU packets must not move its last byte on the
+//! wire.
 
 use accl_sim::pipe::Pipe;
-use accl_sim::time::{Dur, Time};
+use accl_sim::time::Time;
 use proptest::prelude::*;
 
 proptest! {
@@ -56,29 +56,5 @@ proptest! {
         end = end.max(split.reserve(Time::ZERO, n - sent).1);
 
         prop_assert_eq!(we, end, "gbps={} n={} pieces={}", gbps, n, pieces);
-    }
-
-    #[test]
-    fn batch_reservation_matches_serial_segments(
-        tenth_gbps in 1u64..4_000,
-        mtu in 64u64..9_216,
-        segs in 1u64..32,
-        overhead_ps in 0u64..100_000,
-    ) {
-        let gbps = tenth_gbps as f64 / 10.0;
-        let per_item = Dur::from_ps(overhead_ps);
-
-        let mut batched = Pipe::gbps(gbps).with_per_item(per_item);
-        let (_, be) = batched.reserve_batch(Time::ZERO, mtu * segs, segs);
-
-        let mut serial = Pipe::gbps(gbps).with_per_item(per_item);
-        let mut end = Time::ZERO;
-        for _ in 0..segs {
-            end = serial.reserve(Time::ZERO, mtu).1;
-        }
-
-        prop_assert_eq!(be, end, "gbps={} mtu={} segs={}", gbps, mtu, segs);
-        prop_assert_eq!(batched.items(), serial.items());
-        prop_assert_eq!(batched.busy_time(), serial.busy_time());
     }
 }
